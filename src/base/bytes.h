@@ -4,6 +4,7 @@
 #ifndef SRC_BASE_BYTES_H_
 #define SRC_BASE_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -98,19 +99,32 @@ class ByteReader {
 };
 
 // Internet checksum (RFC 1071) over a byte span; used by IPv4/UDP headers.
+// The one's-complement sum does not depend on byte order (RFC 1071 §2), so
+// the loop adds 64-bit native-order loads, two 32-bit halves at a time, and
+// the folded result is swapped back to network order once.
 inline uint16_t InternetChecksum(std::span<const uint8_t> data, uint32_t initial = 0) {
-  uint32_t sum = initial;
+  auto fold = [](uint64_t sum) {
+    while (sum >> 16) {
+      sum = (sum & 0xffff) + (sum >> 16);
+    }
+    return static_cast<uint16_t>(sum);
+  };
+  // Converts a 16-bit value between network and native order (either way).
+  constexpr bool kSwap = std::endian::native == std::endian::little;
+  auto flip = [](uint16_t v) { return kSwap ? static_cast<uint16_t>(v << 8 | v >> 8) : v; };
+  uint64_t sum = flip(fold(initial));
   size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<uint32_t>(data[i]) << 8 | data[i + 1];
+  uint64_t word;
+  for (; i + 8 <= data.size(); i += 8) {
+    std::memcpy(&word, data.data() + i, 8);
+    sum += (word & 0xffffffff) + (word >> 32);
   }
   if (i < data.size()) {
-    sum += static_cast<uint32_t>(data[i]) << 8;
+    word = 0;  // Zero-pads the last 16-bit word when the length is odd.
+    std::memcpy(&word, data.data() + i, data.size() - i);
+    sum += (word & 0xffffffff) + (word >> 32);
   }
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(~sum);
+  return static_cast<uint16_t>(~flip(fold(sum)));
 }
 
 // FNV-1a over a byte span; used for content fingerprints in data-integrity

@@ -463,6 +463,11 @@ std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu) {
   return fragments;
 }
 
+void Ipv4Reassembler::Drop(std::map<Key, Partial>::iterator it) {
+  arrival_order_.erase(it->second.arrival);
+  pending_.erase(it);
+}
+
 std::optional<Ipv4Packet> Ipv4Reassembler::Add(const Ipv4Packet& fragment) {
   if (!fragment.IsFragment()) {
     return fragment;
@@ -470,32 +475,46 @@ std::optional<Ipv4Packet> Ipv4Reassembler::Add(const Ipv4Packet& fragment) {
   const RawL4* raw = std::get_if<RawL4>(&fragment.l4);
   KITE_CHECK(raw != nullptr) << "fragments must carry raw L4 bytes";
   Key key{fragment.src.value, fragment.dst.value, fragment.id, fragment.proto};
-  Partial& part = pending_[key];
-  const size_t end = fragment.frag_offset + raw->bytes.size();
-  if (part.bytes.size() < end) {
-    part.bytes.resize(end);
-    part.have.resize(end);
+  auto [it, fresh] = pending_.try_emplace(key);
+  Partial& part = it->second;
+  if (fresh) {
+    part.arrival = arrival_order_.insert(arrival_order_.end(), key);
   }
-  for (size_t i = 0; i < raw->bytes.size(); ++i) {
-    const size_t pos = fragment.frag_offset + i;
-    if (!part.have[pos]) {
-      part.have[pos] = true;
-      ++part.have_bytes;
-    }
-    part.bytes[pos] = raw->bytes[i];
-  }
+  size_t begin = fragment.frag_offset;
+  size_t end = begin + raw->bytes.size();
+  // As in Linux's ip_frag_queue, a datagram with two different ends or with
+  // bytes past its end is discarded.
+  bool corrupt = false;
   if (!fragment.more_frags) {
+    corrupt = part.total_len != 0 && part.total_len != end;
     part.total_len = end;
   }
-  if (part.total_len == 0 || part.have_bytes < part.total_len) {
+  if (part.bytes.size() < end) {
+    part.bytes.resize(end);
+  }
+  std::copy(raw->bytes.begin(), raw->bytes.end(), part.bytes.begin() + begin);
+  // Merge [begin, end) with every range it overlaps or touches.
+  auto first = std::lower_bound(part.have.begin(), part.have.end(), begin,
+                                [](const auto& r, size_t b) { return r.second < b; });
+  auto last = first;
+  for (; last != part.have.end() && last->first <= end; ++last) {
+    begin = std::min(begin, last->first);
+    end = std::max(end, last->second);
+  }
+  part.have.insert(part.have.erase(first, last), {begin, end});
+  if (corrupt || (part.total_len != 0 && part.have.back().second > part.total_len)) {
+    Drop(it);
+    return std::nullopt;
+  }
+  if (part.total_len == 0 || part.have.front() != std::pair<size_t, size_t>{0, part.total_len}) {
     if (pending_.size() > max_pending_) {
-      pending_.erase(pending_.begin());  // Crude aging.
+      Drop(pending_.find(arrival_order_.front()));
     }
     return std::nullopt;
   }
   // Complete: rebuild the packet with a parsed L4.
-  Buffer l4(part.bytes.begin(), part.bytes.begin() + part.total_len);
-  pending_.erase(key);
+  Buffer l4 = std::move(part.bytes);
+  Drop(it);
   Ipv4Packet whole;
   whole.src = fragment.src;
   whole.dst = fragment.dst;

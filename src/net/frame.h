@@ -8,6 +8,7 @@
 #ifndef SRC_NET_FRAME_H_
 #define SRC_NET_FRAME_H_
 
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -168,13 +169,16 @@ std::optional<EthernetFrame> ParseEthernet(std::span<const uint8_t> data);
 std::vector<Ipv4Packet> FragmentIpv4(const Ipv4Packet& packet, size_t mtu = kMtu);
 
 // Reassembler for incoming fragments. Returns the completed packet (with a
-// parsed L4) once all fragments of a datagram have arrived.
+// parsed L4) once every byte of the datagram, from 0 to the end set by the
+// last fragment, has arrived. Exact duplicates are accepted, and where
+// fragments overlap the later bytes win. A datagram with two different ends,
+// or with bytes past its known end, is discarded.
 class Ipv4Reassembler {
  public:
   std::optional<Ipv4Packet> Add(const Ipv4Packet& fragment);
   size_t pending_count() const { return pending_.size(); }
-  // Drops partially reassembled datagrams older than the limit (counted in
-  // Add() calls, a proxy for time that avoids a clock dependency).
+  // Caps the number of partially reassembled datagrams; past the cap, the one
+  // whose first fragment arrived earliest is dropped.
   void set_max_pending(size_t n) { max_pending_ = n; }
 
  private:
@@ -187,11 +191,15 @@ class Ipv4Reassembler {
   };
   struct Partial {
     Buffer bytes;
-    std::vector<bool> have;
+    // Sorted, disjoint and non-adjacent [begin, end) ranges received so far.
+    std::vector<std::pair<size_t, size_t>> have;
     size_t total_len = 0;  // 0 until the last fragment arrives.
-    size_t have_bytes = 0;
+    std::list<Key>::iterator arrival;
   };
+  void Drop(std::map<Key, Partial>::iterator it);
+
   std::map<Key, Partial> pending_;
+  std::list<Key> arrival_order_;  // Keys of pending_, oldest first.
   size_t max_pending_ = 256;
 };
 

@@ -211,6 +211,47 @@ TEST(BytesTest, ChecksumOddLength) {
   EXPECT_EQ(InternetChecksum(data), InternetChecksum(data));
 }
 
+// RFC 1071 reference: 16 bits per step, big-endian words, 64-bit sum.
+uint16_t ReferenceChecksum(std::span<const uint8_t> data, uint32_t initial) {
+  uint64_t sum = initial;
+  size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += static_cast<uint32_t>(data[i]) << 8 | data[i + 1];
+  }
+  if (i < data.size()) {
+    sum += static_cast<uint32_t>(data[i]) << 8;
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum);
+}
+
+TEST(BytesTest, ChecksumMatchesReferenceAtEveryLengthAndOffset) {
+  // The largest UDP/TCP pseudo-header seed: both addresses 255.255.255.255,
+  // protocol 17 and a 64 KB L4 length.
+  const uint32_t kPseudo64k = 4 * 0xffff + 17 + 65535;
+  const uint32_t seeds[] = {0, 1, 0xffff, 0x10000, 0x1fffe, kPseudo64k, 0xffffffff};
+  Rng rng(1071);
+  Buffer random(257 + 8);
+  for (auto& b : random) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  Buffer ones(257 + 8, 0xff);
+  Buffer zeros(257 + 8, 0x00);
+  for (const Buffer* buf : {&random, &ones, &zeros}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 257; ++len) {
+        auto span = std::span<const uint8_t>(*buf).subspan(offset, len);
+        for (uint32_t seed : seeds) {
+          ASSERT_EQ(InternetChecksum(span, seed), ReferenceChecksum(span, seed))
+              << "offset " << offset << " len " << len << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
 TEST(BytesTest, Fnv1aDistinguishes) {
   Buffer a = {1, 2, 3};
   Buffer b = {1, 2, 4};

@@ -4,6 +4,8 @@
 // frontends pushing malformed ring entries at netback/blkback.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "src/blk/blkif.h"
 #include "src/core/kite.h"
 #include "src/net/nic.h"
@@ -169,12 +171,22 @@ TEST_F(ProtocolPair, MemcachedGarbageCommandErrors) {
 // Every suite runs once per backend ablation (paper §5.8): the hardening
 // checks live in code shared by all configurations, and these parameters
 // prove no ablation path skips them.
+//
+// The ablation structs hold no pointers: gtest prints GetParam() as raw
+// bytes and test discovery bakes that dump into each test's name, so a
+// pointer member would rename the tests on every build (ASLR). Names live
+// in a table indexed by the param, and the params are static constants so
+// their padding bytes are zero.
+
+constexpr const char* kNetAblationNames[] = {"Default", "NoDedicatedThreads", "NoHvCopy"};
 
 struct NetAblation {
-  const char* name;
+  std::size_t name_index;  // Into kNetAblationNames.
   bool dedicated_threads;
   bool use_hv_copy;
 };
+
+constexpr NetAblation kNetAblations[] = {{0, true, true}, {1, false, true}, {2, true, false}};
 
 class MisbehavingNetFrontend : public ::testing::TestWithParam<NetAblation> {
  protected:
@@ -371,18 +383,21 @@ TEST_P(MisbehavingNetFrontend, BackendSurvivesMalformedBurstThenServesValid) {
 
 INSTANTIATE_TEST_SUITE_P(
     Ablations, MisbehavingNetFrontend,
-    ::testing::Values(NetAblation{"Default", true, true},
-                      NetAblation{"NoDedicatedThreads", false, true},
-                      NetAblation{"NoHvCopy", true, false}),
+    ::testing::ValuesIn(kNetAblations),
     [](const ::testing::TestParamInfo<NetAblation>& info) {
-      return std::string(info.param.name);
+      return std::string(kNetAblationNames[info.param.name_index]);
     });
 
+constexpr const char* kBlkAblationNames[] = {"Default", "NoPersistentGrants",
+                                              "NoIndirectSegments"};
+
 struct BlkAblation {
-  const char* name;
+  std::size_t name_index;  // Into kBlkAblationNames.
   bool persistent_grants;
   bool indirect_segments;
 };
+
+constexpr BlkAblation kBlkAblations[] = {{0, true, true}, {1, false, true}, {2, true, false}};
 
 class MisbehavingBlkFrontend : public ::testing::TestWithParam<BlkAblation> {
  protected:
@@ -644,11 +659,9 @@ TEST_P(MisbehavingBlkFrontend, BackendSurvivesMalformedBurstThenServesValid) {
 
 INSTANTIATE_TEST_SUITE_P(
     Ablations, MisbehavingBlkFrontend,
-    ::testing::Values(BlkAblation{"Default", true, true},
-                      BlkAblation{"NoPersistentGrants", false, true},
-                      BlkAblation{"NoIndirectSegments", true, false}),
+    ::testing::ValuesIn(kBlkAblations),
     [](const ::testing::TestParamInfo<BlkAblation>& info) {
-      return std::string(info.param.name);
+      return std::string(kBlkAblationNames[info.param.name_index]);
     });
 
 // --- OS profile invariants. ---
