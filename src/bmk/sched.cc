@@ -1,14 +1,16 @@
 #include "src/bmk/sched.h"
 
+#include <utility>
+
 namespace kite {
 
 BmkSched::~BmkSched() {
   // Destroy frames of threads suspended on timers; their executor events
-  // observe `cancelled` and become no-ops.
-  for (const auto& slot : slots_) {
-    slot->cancelled = true;
-    if (slot->handle) {
-      slot->handle.destroy();
+  // observe `alive_` and become no-ops.
+  *alive_ = false;
+  for (std::coroutine_handle<>& handle : slots_) {
+    if (handle) {
+      std::exchange(handle, nullptr).destroy();
     }
   }
 }
@@ -19,16 +21,21 @@ void BmkSched::Spawn(const std::string& name, const std::function<Task()>& body)
 }
 
 void BmkSched::Park(std::coroutine_handle<> handle, SimTime at) {
-  auto slot = std::make_shared<TimerSlot>();
-  slot->handle = handle;
-  slots_.insert(slot);
-  executor_->PostAt(at, KITE_POST_SITE("bmk/timer-wake"), [this, slot] {
-    if (slot->cancelled) {
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(handle);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = handle;
+  }
+  executor_->PostAt(at, KITE_POST_SITE("bmk/timer-wake"), [this, alive = alive_, slot] {
+    if (!*alive) {
       return;  // Scheduler destroyed; frame already reclaimed.
     }
-    slots_.erase(slot);
-    auto h = slot->handle;
-    slot->handle = nullptr;
+    std::coroutine_handle<> h = std::exchange(slots_[slot], nullptr);
+    free_slots_.push_back(slot);
     h.resume();
   });
 }

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -41,11 +40,6 @@ class BmkSched {
   // Registers a named thread. The body is a coroutine factory; it starts
   // immediately (eager task) and runs cooperatively forever or until return.
   void Spawn(const std::string& name, const std::function<Task()>& body);
-
-  struct TimerSlot {
-    std::coroutine_handle<> handle;
-    bool cancelled = false;
-  };
 
   // Awaitable that resumes at an absolute time, cancellable by scheduler
   // destruction.
@@ -88,7 +82,9 @@ class BmkSched {
   const std::vector<std::string>& thread_names() const { return thread_names_; }
   int thread_count() const { return static_cast<int>(thread_names_.size()); }
   uint64_t yield_count() const { return yields_; }
-  size_t parked_timers() const { return slots_.size(); }
+  size_t parked_timers() const { return slots_.size() - free_slots_.size(); }
+  // Timer slots ever allocated: the most threads parked at once.
+  size_t timer_slot_capacity() const { return slots_.size(); }
 
  private:
   void Park(std::coroutine_handle<> handle, SimTime at);
@@ -96,7 +92,15 @@ class BmkSched {
   Executor* executor_;
   Vcpu* vcpu_;
   std::vector<std::string> thread_names_;
-  std::set<std::shared_ptr<TimerSlot>> slots_;
+  // Parked coroutine frames, indexed by the slot number their wake event
+  // carries; a free slot holds a null handle and its index is on
+  // free_slots_. Slots are reused, so parking allocates nothing once the
+  // vector has grown to the peak number of parked threads.
+  std::vector<std::coroutine_handle<>> slots_;
+  std::vector<uint32_t> free_slots_;
+  // Wake events capture this flag: a destroyed scheduler (its frames
+  // already reclaimed) turns them into no-ops.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   uint64_t yields_ = 0;
 };
 

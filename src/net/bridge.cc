@@ -9,7 +9,8 @@ namespace kite {
 void Bridge::AddIf(NetIf* netif) {
   KITE_CHECK(!HasIf(netif));
   ports_.push_back(netif);
-  netif->SetInputHandler([this, netif](const EthernetFrame& frame) { Input(netif, frame); });
+  netif->SetInputHandler(
+      [this, netif](EthernetFrame&& frame) { Input(netif, std::move(frame)); });
 }
 
 void Bridge::RemoveIf(NetIf* netif) {
@@ -60,16 +61,16 @@ uint64_t Bridge::queue_drops() const {
   return drops;
 }
 
-bool Bridge::SendOut(NetIf* port, const EthernetFrame& frame) {
+bool Bridge::SendOut(NetIf* port, EthernetFrame frame) {
   auto it = queues_.find(port);
   if (it == queues_.end()) {
-    port->Output(frame);
+    port->Output(std::move(frame));
     return true;
   }
-  return it->second->Offer(frame);
+  return it->second->Offer(std::move(frame));
 }
 
-void Bridge::Input(NetIf* ingress, const EthernetFrame& frame) {
+void Bridge::Input(NetIf* ingress, EthernetFrame&& frame) {
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/bridge"));
     vcpu_->Charge(forward_cost_);
@@ -79,7 +80,7 @@ void Bridge::Input(NetIf* ingress, const EthernetFrame& frame) {
 
   // Local sink check (driver domain's own address on the physical port).
   if (local_sink_ && frame.dst == local_mac_) {
-    local_sink_(frame);
+    local_sink_(std::move(frame));
     return;
   }
 
@@ -90,7 +91,7 @@ void Bridge::Input(NetIf* ingress, const EthernetFrame& frame) {
         // Count only frames the egress queue admitted: a drop-tail rejection
         // already shows up in queue_drops(), and a frame must not appear in
         // both tallies.
-        if (SendOut(it->second, frame)) {
+        if (SendOut(it->second, std::move(frame))) {
           ++forwarded_;
         }
       }
@@ -101,12 +102,25 @@ void Bridge::Input(NetIf* ingress, const EthernetFrame& frame) {
   // sink for broadcasts, so the driver domain sees ARP etc.).
   ++flooded_;
   if (local_sink_ && frame.dst.IsBroadcast()) {
-    local_sink_(frame);
+    local_sink_(EthernetFrame(frame));
+  }
+  // Every receiving port but the last gets a copy; the last gets the frame.
+  auto floods_to = [&](NetIf* port) { return port != ingress && port->up(); };
+  NetIf* last = nullptr;
+  for (NetIf* port : ports_) {
+    if (floods_to(port)) {
+      last = port;
+    }
   }
   for (NetIf* port : ports_) {
-    if (port != ingress && port->up()) {
-      SendOut(port, frame);
+    if (!floods_to(port)) {
+      continue;
     }
+    if (port == last) {
+      SendOut(port, std::move(frame));
+      return;
+    }
+    SendOut(port, EthernetFrame(frame));
   }
 }
 

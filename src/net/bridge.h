@@ -37,7 +37,7 @@ class Bridge {
   // Optional local sink: unicast frames for this MAC are handed to the local
   // stack (the driver domain's own IP on the physical interface) instead of
   // being forwarded.
-  void SetLocalSink(MacAddr mac, std::function<void(const EthernetFrame&)> fn) {
+  void SetLocalSink(MacAddr mac, std::function<void(EthernetFrame&&)> fn) {
     local_mac_ = mac;
     local_sink_ = std::move(fn);
   }
@@ -64,9 +64,9 @@ class Bridge {
   NetIf* LookupFdb(MacAddr mac) const;
 
  private:
-  void Input(NetIf* ingress, const EthernetFrame& frame);
+  void Input(NetIf* ingress, EthernetFrame&& frame);
   // Returns false if the port's egress queue dropped the frame.
-  bool SendOut(NetIf* port, const EthernetFrame& frame);
+  bool SendOut(NetIf* port, EthernetFrame frame);
 
   std::string name_;
   Vcpu* vcpu_;
@@ -75,7 +75,7 @@ class Bridge {
   std::map<NetIf*, std::unique_ptr<EgressQueue>> queues_;
   std::map<MacAddr, NetIf*> fdb_;
   MacAddr local_mac_;
-  std::function<void(const EthernetFrame&)> local_sink_;
+  std::function<void(EthernetFrame&&)> local_sink_;
   uint64_t forwarded_ = 0;
   uint64_t flooded_ = 0;
 };

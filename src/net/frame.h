@@ -1,10 +1,12 @@
 // Network packet structures: Ethernet, ARP, IPv4 (with fragmentation), ICMP,
 // UDP, and TCP segments.
 //
-// The simulation passes *structured* packets on the fast path (no per-hop
-// byte serialization), but every layer has a faithful wire encoder/decoder
-// (big-endian, real checksums) used by the DHCP protocol implementation,
-// by fragmentation, and by the protocol round-trip tests.
+// Frames travel between NetIfs as structured values, moved from hop to hop
+// (see src/net/netif.h). Where a frame crosses a domain boundary it is
+// really encoded: netfront and netback serialize every frame into a granted
+// ring page and parse it back on the other side, with real checksums
+// computed and verified. The same big-endian wire codecs serve IP
+// fragmentation, the DHCP implementation and the protocol round-trip tests.
 #ifndef SRC_NET_FRAME_H_
 #define SRC_NET_FRAME_H_
 

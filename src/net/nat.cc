@@ -6,14 +6,14 @@ namespace kite {
 
 Nat::Nat(Vcpu* vcpu, NetIf* outside, Ipv4Addr public_ip, SimDuration forward_cost)
     : vcpu_(vcpu), outside_(outside), public_ip_(public_ip), forward_cost_(forward_cost) {
-  outside_->SetInputHandler([this](const EthernetFrame& frame) { FromOutside(frame); });
+  outside_->SetInputHandler([this](EthernetFrame&& frame) { FromOutside(std::move(frame)); });
   outside_->SetUp(true);
 }
 
 void Nat::AddInside(NetIf* netif) {
   inside_.push_back(netif);
   netif->SetInputHandler(
-      [this, netif](const EthernetFrame& frame) { FromInside(netif, frame); });
+      [this, netif](EthernetFrame&& frame) { FromInside(netif, std::move(frame)); });
   netif->SetUp(true);
 }
 
@@ -96,7 +96,7 @@ Nat::Flow* Nat::FlowFor(const FlowKey& key, NetIf* ingress, MacAddr inside_mac) 
   return &inserted->second;
 }
 
-void Nat::FromInside(NetIf* ingress, const EthernetFrame& frame) {
+void Nat::FromInside(NetIf* ingress, EthernetFrame&& frame) {
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/nat"));
     vcpu_->Charge(forward_cost_);
@@ -116,11 +116,11 @@ void Nat::FromInside(NetIf* ingress, const EthernetFrame& frame) {
       out.src = ingress->mac();
       out.ethertype = kEtherTypeArp;
       out.payload = reply;
-      ingress->Output(out);
+      ingress->Output(std::move(out));
     }
     return;
   }
-  const Ipv4Packet* ip = frame.ip();
+  Ipv4Packet* ip = frame.ip();
   if (ip == nullptr) {
     return;
   }
@@ -131,7 +131,7 @@ void Nat::FromInside(NetIf* ingress, const EthernetFrame& frame) {
     return;
   }
   Flow* flow = FlowFor(FlowKey{proto, ip->src.value, id}, ingress, frame.src);
-  Ipv4Packet rewritten = *ip;
+  Ipv4Packet rewritten = std::move(*ip);
   RewriteSource(&rewritten, public_ip_, flow->public_id);
   ++translated_out_;
 
@@ -141,10 +141,10 @@ void Nat::FromInside(NetIf* ingress, const EthernetFrame& frame) {
   out.dst = arp_it != outside_arp_.end() ? arp_it->second : MacAddr::Broadcast();
   out.ethertype = kEtherTypeIpv4;
   out.payload = std::move(rewritten);
-  outside_->Output(out);
+  outside_->Output(std::move(out));
 }
 
-void Nat::FromOutside(const EthernetFrame& frame) {
+void Nat::FromOutside(EthernetFrame&& frame) {
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/nat"));
     vcpu_->Charge(forward_cost_);
@@ -163,11 +163,11 @@ void Nat::FromOutside(const EthernetFrame& frame) {
       out.src = outside_->mac();
       out.ethertype = kEtherTypeArp;
       out.payload = reply;
-      outside_->Output(out);
+      outside_->Output(std::move(out));
     }
     return;
   }
-  const Ipv4Packet* ip = frame.ip();
+  Ipv4Packet* ip = frame.ip();
   if (ip == nullptr || ip->dst != public_ip_) {
     return;
   }
@@ -184,7 +184,7 @@ void Nat::FromOutside(const EthernetFrame& frame) {
     return;
   }
   Flow& flow = by_key_.at(pub_it->second);
-  Ipv4Packet rewritten = *ip;
+  Ipv4Packet rewritten = std::move(*ip);
   RewriteDestination(&rewritten, Ipv4Addr{flow.key.inside_ip}, flow.key.inside_id);
   ++translated_in_;
 
@@ -193,7 +193,7 @@ void Nat::FromOutside(const EthernetFrame& frame) {
   out.dst = flow.inside_mac;
   out.ethertype = kEtherTypeIpv4;
   out.payload = std::move(rewritten);
-  flow.inside_if->Output(out);
+  flow.inside_if->Output(std::move(out));
 }
 
 }  // namespace kite

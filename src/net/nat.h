@@ -49,8 +49,8 @@ class Nat {
     MacAddr inside_mac;
   };
 
-  void FromInside(NetIf* ingress, const EthernetFrame& frame);
-  void FromOutside(const EthernetFrame& frame);
+  void FromInside(NetIf* ingress, EthernetFrame&& frame);
+  void FromOutside(EthernetFrame&& frame);
   Flow* FlowFor(const FlowKey& key, NetIf* ingress, MacAddr inside_mac);
   // Extracts (proto, id) from the L4 of a packet; false if untranslatable.
   static bool ExtractOutbound(const Ipv4Packet& packet, uint8_t* proto, uint16_t* id);

@@ -2,12 +2,19 @@
 //
 // A NetIf is anything a stack or bridge can attach to: the physical NIC's
 // interface in a driver domain, a netback VIF, or a guest netfront interface.
+//
+// Frames move through interfaces by value: Output, InjectInput and
+// DeliverInput take ownership of the frame, and the input handler receives
+// it as an rvalue. Callers std::move the frame along each hop, so a payload
+// Buffer is copied only where a hop really needs a second copy (a bridge
+// flooding to several ports, a codec writing a ring page).
 #ifndef SRC_NET_NETIF_H_
 #define SRC_NET_NETIF_H_
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "src/net/frame.h"
 
@@ -27,19 +34,21 @@ class NetIf {
   bool up() const { return up_; }
   void SetUp(bool up) { up_ = up; }
 
-  // Transmits a frame out of this interface. Implementations deliver to the
-  // wire (NIC), to the peer ring (VIF/netfront), etc.
-  virtual void Output(const EthernetFrame& frame) = 0;
+  // Transmits a frame out of this interface, taking ownership of it.
+  // Implementations deliver to the wire (NIC), to the peer ring
+  // (VIF/netfront), etc.
+  virtual void Output(EthernetFrame frame) = 0;
 
-  // The attached consumer (stack or bridge) receives inbound frames here.
-  void SetInputHandler(std::function<void(const EthernetFrame&)> fn) {
+  // The attached consumer (stack or bridge) receives inbound frames here and
+  // owns each one it is handed.
+  void SetInputHandler(std::function<void(EthernetFrame&&)> fn) {
     input_handler_ = std::move(fn);
   }
   bool has_input_handler() const { return input_handler_ != nullptr; }
 
   // Feeds a frame into this interface as if it arrived from the medium
   // (used by tests and by software devices).
-  void InjectInput(const EthernetFrame& frame) { DeliverInput(frame); }
+  void InjectInput(EthernetFrame frame) { DeliverInput(std::move(frame)); }
 
   uint64_t tx_frames() const { return tx_frames_; }
   uint64_t tx_bytes() const { return tx_bytes_; }
@@ -53,12 +62,13 @@ class NetIf {
   }
 
   // Called by implementations when an inbound frame is ready for the
-  // consumer. Dropped (counted by callers where relevant) if no handler.
-  void DeliverInput(const EthernetFrame& frame) {
+  // consumer, which takes ownership of it. Dropped (counted by callers where
+  // relevant) if no handler.
+  void DeliverInput(EthernetFrame frame) {
     ++rx_frames_;
     rx_bytes_ += frame.PayloadBytes() + kEthernetHeaderBytes;
     if (input_handler_) {
-      input_handler_(frame);
+      input_handler_(std::move(frame));
     }
   }
 
@@ -66,7 +76,7 @@ class NetIf {
   std::string ifname_;
   MacAddr mac_;
   bool up_ = false;
-  std::function<void(const EthernetFrame&)> input_handler_;
+  std::function<void(EthernetFrame&&)> input_handler_;
   uint64_t tx_frames_ = 0;
   uint64_t tx_bytes_ = 0;
   uint64_t rx_frames_ = 0;

@@ -5,9 +5,9 @@
 
 namespace kite {
 
-void NicNetIf::Output(const EthernetFrame& frame) {
+void NicNetIf::Output(EthernetFrame frame) {
   CountTx(frame);
-  nic_->Transmit(frame);
+  nic_->Transmit(std::move(frame));
 }
 
 Nic::Nic(Executor* executor, std::string bdf, std::string ifname, MacAddr mac,
@@ -50,7 +50,7 @@ void Nic::SetRxDropPolicy(std::unique_ptr<DropPolicy> policy) {
                                  : std::make_unique<DropTailPolicy>();
 }
 
-void Nic::Transmit(const EthernetFrame& frame) {
+void Nic::Transmit(EthernetFrame frame) {
   if (peer_ == nullptr) {
     ++tx_dropped_;
     return;
@@ -58,7 +58,7 @@ void Nic::Transmit(const EthernetFrame& frame) {
   // Bounded transmit queue: if the policy rejects the frame (drop-tail: the
   // backlog exceeds the ring), drop — what a real NIC does under overload.
   const SimTime now = executor_->Now();
-  if (tx_policy_->ShouldDrop(tx_inflight_, params_.tx_queue_frames,
+  if (tx_policy_->ShouldDrop(wire_.size(), params_.tx_queue_frames,
                              frame.WireBytes())) {
     ++tx_dropped_;
     return;
@@ -71,12 +71,14 @@ void Nic::Transmit(const EthernetFrame& frame) {
   const SimDuration wire_time = Nanos(static_cast<int64_t>(bits / params_.gbps));
   SimTime start = tx_free_at_ > now ? tx_free_at_ : now;
   tx_free_at_ = start + wire_time;
-  ++tx_inflight_;
   const SimTime arrival = tx_free_at_ + params_.propagation;
-  Nic* peer = peer_;
-  executor_->PostAt(arrival, KITE_POST_SITE("nic/wire-arrival"), [this, peer, frame] {
-    --tx_inflight_;
-    peer->Arrive(frame);
+  KITE_CHECK(arrival > last_arrival_) << "wire arrivals must be strictly increasing";
+  last_arrival_ = arrival;
+  wire_.push_back({peer_, std::move(frame)});
+  executor_->PostAt(arrival, KITE_POST_SITE("nic/wire-arrival"), [this] {
+    InFlight sent = std::move(wire_.front());
+    wire_.pop_front();
+    sent.peer->Arrive(std::move(sent.frame));
   });
 }
 
@@ -121,7 +123,7 @@ void Nic::DrainRx() {
       vcpu_->Charge(params_.rx_frame_cost);
     }
     ++rx_delivered_;
-    netif_.DeliverInput(frame);
+    netif_.DeliverInput(std::move(frame));
   }
 }
 

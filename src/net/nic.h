@@ -26,7 +26,7 @@ class Nic;
 class NicNetIf : public NetIf {
  public:
   NicNetIf(std::string ifname, MacAddr mac, Nic* nic) : NetIf(std::move(ifname), mac), nic_(nic) {}
-  void Output(const EthernetFrame& frame) override;
+  void Output(EthernetFrame frame) override;
 
  private:
   friend class Nic;
@@ -73,7 +73,7 @@ class Nic : public PciDevice {
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
   // Wire-side: queues the frame for transmission at line rate.
-  void Transmit(const EthernetFrame& frame);
+  void Transmit(EthernetFrame frame);
 
   // Replaces the admission policy of the tx/rx ring (drop-tail by default,
   // with the same depth limits as before; see src/net/queue.h for RED-style
@@ -94,6 +94,13 @@ class Nic : public PciDevice {
   void ScheduleRxDrain();
   void DrainRx();
 
+  // A frame on the wire, bound for the peer that was plugged in when it was
+  // sent.
+  struct InFlight {
+    Nic* peer;
+    EthernetFrame frame;
+  };
+
   Executor* executor_;
   NicParams params_;
   NicNetIf netif_;
@@ -102,7 +109,12 @@ class Nic : public PciDevice {
   FaultInjector* faults_ = nullptr;
 
   SimTime tx_free_at_;
-  size_t tx_inflight_ = 0;
+  // Frames on the wire, oldest first. Each wire-arrival event pops the
+  // front: arrival times are strictly increasing (a frame needs at least one
+  // minimum frame time on the wire, and tx_free_at_ only moves forward), so
+  // the events fire in the order the frames were queued.
+  std::deque<InFlight> wire_;
+  SimTime last_arrival_;
   std::deque<EthernetFrame> rx_queue_;
   bool rx_drain_scheduled_ = false;
   std::unique_ptr<DropPolicy> tx_policy_ = std::make_unique<DropTailPolicy>();

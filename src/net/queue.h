@@ -74,9 +74,9 @@ class EgressQueue {
   EgressQueue(const EgressQueue&) = delete;
   EgressQueue& operator=(const EgressQueue&) = delete;
 
-  // Queues (or, with limit 0, directly forwards) the frame.
+  // Queues (or, with limit 0, directly forwards) the frame, taking ownership.
   // Returns false if the policy dropped it.
-  bool Offer(const EthernetFrame& frame);
+  bool Offer(EthernetFrame frame);
 
   NetIf* port() const { return port_; }
   size_t depth() const { return queue_.size(); }

@@ -46,7 +46,7 @@ EtherStack::EtherStack(Executor* executor, Vcpu* vcpu, NetIf* netif, StackParams
     : executor_(executor), vcpu_(vcpu), netif_(netif), params_(params) {
   // Stable per-stack ICMP identifier derived from the MAC.
   ping_ident_ = static_cast<uint16_t>(netif->mac().octets[4] << 8 | netif->mac().octets[5]);
-  netif_->SetInputHandler([this](const EthernetFrame& frame) { Input(frame); });
+  netif_->SetInputHandler([this](EthernetFrame&& frame) { Input(std::move(frame)); });
   netif_->SetUp(true);
   if (params_.metrics != nullptr) {
     MetricRegistry* reg = params_.metrics;
@@ -151,21 +151,29 @@ void EtherStack::SendIp(Ipv4Packet&& packet) {
   frame.ethertype = kEtherTypeArp;
   frame.payload = arp;
   ++arp_requests_;
-  netif_->Output(frame);
+  netif_->Output(std::move(frame));
 }
 
 void EtherStack::Transmit(MacAddr dst, Ipv4Packet&& packet) {
+  if (packet.ByteSize() <= kMtu) {
+    OutputIp(dst, std::move(packet));
+    return;
+  }
   for (Ipv4Packet& frag : FragmentIpv4(packet)) {
-    EthernetFrame frame;
-    frame.dst = dst;
-    frame.src = mac();
-    frame.ethertype = kEtherTypeIpv4;
-    frame.payload = std::move(frag);
-    netif_->Output(frame);
+    OutputIp(dst, std::move(frag));
   }
 }
 
-void EtherStack::Input(const EthernetFrame& frame) {
+void EtherStack::OutputIp(MacAddr dst, Ipv4Packet&& packet) {
+  EthernetFrame frame;
+  frame.dst = dst;
+  frame.src = mac();
+  frame.ethertype = kEtherTypeIpv4;
+  frame.payload = std::move(packet);
+  netif_->Output(std::move(frame));
+}
+
+void EtherStack::Input(EthernetFrame&& frame) {
   if (vcpu_ != nullptr) {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("net/stack"));
     vcpu_->Charge(params_.per_packet_cost);
@@ -219,7 +227,7 @@ void EtherStack::HandleArp(const ArpPacket& arp) {
     frame.src = mac();
     frame.ethertype = kEtherTypeArp;
     frame.payload = reply;
-    netif_->Output(frame);
+    netif_->Output(std::move(frame));
   }
 }
 

@@ -155,11 +155,12 @@ class EtherStack {
   friend class UdpSocket;
   friend class TcpConn;
 
-  void Input(const EthernetFrame& frame);
+  void Input(EthernetFrame&& frame);
   void HandleArp(const ArpPacket& arp);
   void HandleIp(const Ipv4Packet& packet);
   void HandleIcmp(const Ipv4Packet& packet, const IcmpMessage& icmp);
   void Transmit(MacAddr dst, Ipv4Packet&& packet);
+  void OutputIp(MacAddr dst, Ipv4Packet&& packet);
   void RemoveConn(TcpConn* conn);
   TcpConn* CreateConn(Ipv4Addr peer_ip, uint16_t peer_port, uint16_t local_port);
   TcpFlowLedger* LedgerFor(Ipv4Addr peer_ip, uint16_t peer_port, uint16_t local_port);

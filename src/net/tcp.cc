@@ -90,7 +90,7 @@ void TcpConn::StartPassiveOpen(const TcpSegment& syn, std::function<void(TcpConn
   ArmRto();
 }
 
-void TcpConn::Send(Buffer data) {
+void TcpConn::Send(std::span<const uint8_t> data) {
   KITE_CHECK(!fin_pending_ && !fin_sent_) << "Send after Close";
   if (state_ == TcpState::kClosed) {
     return;
@@ -227,8 +227,7 @@ void TcpConn::OnAck(const TcpSegment& seg) {
       fin_seq_bump = 1;
     }
     const size_t payload_acked = static_cast<size_t>(acked) - fin_seq_bump;
-    KITE_CHECK(payload_acked <= send_buf_.size());
-    send_buf_.erase(send_buf_.begin(), send_buf_.begin() + payload_acked);
+    ConsumeAcked(payload_acked);
     snd_una_ = seg.ack;
     bytes_acked_ += payload_acked;
     ledger_->acked_in += payload_acked;
@@ -315,12 +314,27 @@ void TcpConn::OnDupAck() {
   }
 }
 
+void TcpConn::ConsumeAcked(size_t n) {
+  KITE_CHECK(n <= send_queue_bytes());
+  send_head_ += n;
+  if (send_head_ == send_buf_.size()) {
+    send_buf_.clear();
+    send_head_ = 0;
+  } else if (send_head_ > send_buf_.size() / 2) {
+    // Compact once the dead prefix outgrows the live bytes, so each byte is
+    // moved at most once on average.
+    send_buf_.erase(send_buf_.begin(), send_buf_.begin() + static_cast<ptrdiff_t>(send_head_));
+    send_head_ = 0;
+  }
+}
+
 void TcpConn::RetransmitHead() {
   rtt_probe_armed_ = false;  // Karn: samples spanning a retransmit are invalid.
   if (stack_->tcp_counters_.retransmits != nullptr) {
     stack_->tcp_counters_.retransmits->Inc();
   }
-  const size_t len = std::min(kTcpMss, send_buf_.size());
+  const std::span<const uint8_t> unacked = Unacked();
+  const size_t len = std::min(kTcpMss, unacked.size());
   if (len == 0) {
     // Only our FIN is outstanding.
     if (fin_sent_ && !fin_acked_) {
@@ -337,7 +351,8 @@ void TcpConn::RetransmitHead() {
   seg.seq = snd_una_;
   seg.ack_flag = true;
   seg.ack = rcv_nxt_;
-  seg.payload.assign(send_buf_.begin(), send_buf_.begin() + len);
+  const std::span<const uint8_t> head = unacked.first(len);
+  seg.payload.assign(head.begin(), head.end());
   bytes_sent_ += len;
   EmitSegment(std::move(seg));
 }
@@ -467,11 +482,11 @@ void TcpConn::PumpSend() {
   const uint32_t wnd = std::min(peer_window_, cwnd_);
   const uint32_t fin_adjust = fin_sent_ ? 1 : 0;
   uint32_t in_flight = static_cast<uint32_t>(SeqDiff(snd_nxt_, snd_una_)) - fin_adjust;
-  size_t send_offset = in_flight;  // Bytes of send_buf_ already in flight.
+  size_t send_offset = in_flight;  // Unacked bytes already in flight.
   bool sent_any = false;
-  while (send_offset < send_buf_.size() && in_flight < wnd && !fin_sent_) {
+  while (send_offset < send_queue_bytes() && in_flight < wnd && !fin_sent_) {
     const size_t len =
-        std::min({kTcpMss, send_buf_.size() - send_offset,
+        std::min({kTcpMss, send_queue_bytes() - send_offset,
                   static_cast<size_t>(wnd - in_flight)});
     if (len == 0) {
       break;
@@ -480,8 +495,8 @@ void TcpConn::PumpSend() {
     seg.seq = snd_nxt_;
     seg.ack_flag = true;
     seg.ack = rcv_nxt_;
-    seg.payload.assign(send_buf_.begin() + send_offset,
-                       send_buf_.begin() + send_offset + len);
+    const std::span<const uint8_t> bytes = Unacked().subspan(send_offset, len);
+    seg.payload.assign(bytes.begin(), bytes.end());
     const uint32_t seq_end = snd_nxt_ + static_cast<uint32_t>(len);
     if (SeqDiff(snd_nxt_, snd_max_) < 0) {
       // Go-back-N resend of bytes below snd_max_.
@@ -510,7 +525,7 @@ void TcpConn::PumpSend() {
     // Piggybacked ACK: clear any pending delayed ACK.
     ack_pending_segments_ = 0;
   }
-  if (fin_pending_ && !fin_sent_ && send_offset >= send_buf_.size()) {
+  if (fin_pending_ && !fin_sent_ && send_offset >= send_queue_bytes()) {
     TcpSegment fin;
     fin.fin = true;
     fin.ack_flag = true;

@@ -11,7 +11,6 @@
 #ifndef SRC_NET_TCP_H_
 #define SRC_NET_TCP_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -57,9 +56,8 @@ class TcpConn {
   // Fired once when the peer closes (FIN/RST) or the connection aborts.
   void SetCloseCallback(std::function<void()> fn) { close_cb_ = std::move(fn); }
 
-  // Queues bytes for transmission.
-  void Send(Buffer data);
-  void Send(std::span<const uint8_t> data) { Send(Buffer(data.begin(), data.end())); }
+  // Queues bytes for transmission (copied once, into the send buffer).
+  void Send(std::span<const uint8_t> data);
 
   // Graceful close: FIN after all queued data.
   void Close();
@@ -69,7 +67,7 @@ class TcpConn {
   TcpState state() const { return state_; }
   bool connected() const { return state_ == TcpState::kEstablished; }
   bool closed() const { return state_ == TcpState::kClosed; }
-  size_t send_queue_bytes() const { return send_buf_.size(); }
+  size_t send_queue_bytes() const { return send_buf_.size() - send_head_; }
 
   Ipv4Addr peer_ip() const { return peer_ip_; }
   uint16_t peer_port() const { return peer_port_; }
@@ -114,6 +112,12 @@ class TcpConn {
   void DrainOoo();
   void HandlePeerFin();
   void PumpSend();
+  // Unacknowledged bytes, [snd_una_, end of queued data).
+  std::span<const uint8_t> Unacked() const {
+    return std::span<const uint8_t>(send_buf_).subspan(send_head_);
+  }
+  // Drops `n` acknowledged bytes from the front of the send buffer.
+  void ConsumeAcked(size_t n);
   // Resends one MSS starting at snd_una_ without touching snd_nxt_ (the fast
   // retransmit / NewReno partial-ACK hole repair).
   void RetransmitHead();
@@ -139,8 +143,10 @@ class TcpConn {
   uint16_t local_port_;
   TcpState state_ = TcpState::kSynSent;
 
-  // Send side. send_buf_ front corresponds to sequence snd_una_.
-  std::deque<uint8_t> send_buf_;
+  // Send side. send_buf_[send_head_] corresponds to sequence snd_una_; the
+  // acknowledged bytes before it are dropped lazily (see ConsumeAcked).
+  Buffer send_buf_;
+  size_t send_head_ = 0;
   uint32_t snd_una_ = 0;
   uint32_t snd_nxt_ = 0;
   uint32_t snd_max_ = 0;  // Highest sequence ever sent (new vs. retransmit).

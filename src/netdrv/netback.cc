@@ -425,7 +425,7 @@ Task NetbackInstance::PusherThread() {
           if (frame.has_value()) {
             guest_tx_frames_->Inc();
             // Hand the frame to the network stack/bridge through the VIF.
-            DeliverInput(*frame);
+            DeliverInput(std::move(*frame));
           } else {
             tx_unparseable_->Inc();
           }
@@ -452,7 +452,7 @@ Task NetbackInstance::PusherThread() {
   ThreadExited();
 }
 
-void NetbackInstance::Output(const EthernetFrame& frame) {
+void NetbackInstance::Output(EthernetFrame frame) {
   if (!connected_ || draining_) {
     return;
   }
@@ -461,7 +461,7 @@ void NetbackInstance::Output(const EthernetFrame& frame) {
     rx_queue_drops_->Inc();
     return;
   }
-  rx_pending_.push_back({frame, sched_->executor()->Now().ns()});
+  rx_pending_.push_back({std::move(frame), sched_->executor()->Now().ns()});
   // The stack callback only wakes soft_start (paper §4.2 "Multiple
   // Threads"); the copy work happens on the thread.
   rx_wake_.Signal();

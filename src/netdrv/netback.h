@@ -63,7 +63,7 @@ class NetbackInstance : public NetIf {
   bool Connect();
 
   // NetIf: bridge → guest direction (enqueue for soft_start).
-  void Output(const EthernetFrame& frame) override;
+  void Output(EthernetFrame frame) override;
 
   // Replaces the admission policy of the backend-side Rx queue (drop-tail at
   // rx_queue_cap by default). Passing null restores drop-tail.

@@ -8,59 +8,82 @@ namespace kite {
 MemcachedServer::MemcachedServer(EtherStack* stack, uint16_t port, MemcachedParams params)
     : stack_(stack), params_(params) {
   stack_->ListenTcp(port, [this](TcpConn* conn) {
-    auto inbuf = std::make_shared<std::string>();
-    conn->SetDataCallback([this, conn, inbuf](std::span<const uint8_t> data) {
-      inbuf->append(reinterpret_cast<const char*>(data.data()), data.size());
-      Process(conn, inbuf.get());
+    auto session = std::make_shared<Session>();
+    conn->SetDataCallback([this, conn, session](std::span<const uint8_t> data) {
+      session->inbuf.append(reinterpret_cast<const char*>(data.data()), data.size());
+      Process(conn, session.get());
     });
   });
 }
 
-void MemcachedServer::Process(TcpConn* conn, std::string* inbuf) {
-  for (;;) {
-    const size_t eol = inbuf->find("\r\n");
+bool MemcachedServer::NextReply(Session* session, std::string* reply) {
+  std::string& inbuf = session->inbuf;
+  if (!session->set_pending) {
+    const size_t eol = inbuf.find("\r\n");
     if (eol == std::string::npos) {
-      return;
+      return false;
     }
-    const std::string line = inbuf->substr(0, eol);
-    std::string reply;
-    if (line.rfind("set ", 0) == 0) {
+    const std::string_view line(inbuf.data(), eol);
+    if (line.starts_with("set ")) {
       // "set <key> <flags> <exptime> <bytes>"
       const auto parts = SplitPath(line, ' ');
       if (parts.size() < 5) {
-        inbuf->erase(0, eol + 2);
-        reply = "CLIENT_ERROR bad command line\r\n";
-      } else {
-        const int64_t bytes = ParseDecimal(parts[4]);
-        if (bytes < 0 || inbuf->size() < eol + 2 + static_cast<size_t>(bytes) + 2) {
-          return;  // Data block not fully arrived yet.
-        }
-        const std::string value = inbuf->substr(eol + 2, static_cast<size_t>(bytes));
-        inbuf->erase(0, eol + 2 + static_cast<size_t>(bytes) + 2);
-        store_[parts[1]] = value;
-        ++sets_;
-        op_bytes_ = value.size();
-        reply = "STORED\r\n";
+        inbuf.erase(0, eol + 2);
+        *reply = "CLIENT_ERROR bad command line\r\n";
+        return true;
       }
-    } else if (line.rfind("get ", 0) == 0) {
-      inbuf->erase(0, eol + 2);
-      const std::string key = line.substr(4);
+      const int64_t bytes = ParseDecimal(parts[4]);
+      if (bytes < 0) {
+        return false;  // Never completes: the connection stalls on this line.
+      }
+      session->set_pending = true;
+      session->set_key = parts[1];
+      session->set_data_at = eol + 2;
+      session->set_bytes = static_cast<size_t>(bytes);
+    } else if (line.starts_with("get ")) {
+      const std::string key(line.substr(4));
+      inbuf.erase(0, eol + 2);
       ++gets_;
       auto it = store_.find(key);
-      size_t bytes = 0;
-      if (it != store_.end()) {
-        ++hits_;
-        bytes = it->second.size();
-        reply = StrFormat("VALUE %s 0 %zu\r\n", key.c_str(), bytes) + it->second +
-                "\r\nEND\r\n";
-      } else {
-        reply = "END\r\n";
+      if (it == store_.end()) {
+        *reply = "END\r\n";
+        op_bytes_ = 0;
+        return true;
       }
-      op_bytes_ = bytes;
+      ++hits_;
+      const std::string& value = it->second;
+      const std::string size = std::to_string(value.size());
+      reply->clear();
+      // 18: the fixed text "VALUE ", " 0 ", "\r\n" and "\r\nEND\r\n".
+      reply->reserve(18 + key.size() + size.size() + value.size());
+      reply->append("VALUE ").append(key).append(" 0 ").append(size).append("\r\n");
+      reply->append(value).append("\r\nEND\r\n");
+      op_bytes_ = value.size();
+      return true;
     } else {
-      inbuf->erase(0, eol + 2);
-      reply = "ERROR\r\n";
+      inbuf.erase(0, eol + 2);
+      *reply = "ERROR\r\n";
+      return true;
     }
+  }
+  // The header was parsed on an earlier segment (or just now): wait for the
+  // whole data block plus its CRLF.
+  const size_t end = session->set_data_at + session->set_bytes + 2;
+  if (inbuf.size() < end) {
+    return false;
+  }
+  store_[session->set_key].assign(inbuf, session->set_data_at, session->set_bytes);
+  inbuf.erase(0, end);
+  session->set_pending = false;
+  ++sets_;
+  op_bytes_ = session->set_bytes;
+  *reply = "STORED\r\n";
+  return true;
+}
+
+void MemcachedServer::Process(TcpConn* conn, Session* session) {
+  std::string reply;
+  while (NextReply(session, &reply)) {
     if (stack_->vcpu() == nullptr) {
       conn->Send(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(reply.data()),
                                           reply.size()));
@@ -75,7 +98,7 @@ void MemcachedServer::Process(TcpConn* conn, std::string* inbuf) {
       op_bytes_ = 0;
       stack_->executor()->PostAt(
           cpu_done, KITE_POST_SITE("memcached/reply"),
-          [conn, alive = conn->AliveGuard(), reply] {
+          [conn, alive = conn->AliveGuard(), reply = std::move(reply)] {
             if (*alive && !conn->closed()) {
               conn->Send(std::span<const uint8_t>(
                   reinterpret_cast<const uint8_t*>(reply.data()), reply.size()));

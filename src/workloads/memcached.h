@@ -4,9 +4,9 @@
 #define SRC_WORKLOADS_MEMCACHED_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "src/base/rng.h"
 #include "src/base/stats.h"
@@ -29,11 +29,24 @@ class MemcachedServer {
   uint64_t hits() const { return hits_; }
 
  private:
-  void Process(TcpConn* conn, std::string* inbuf);
+  // Per-connection parse state.
+  struct Session {
+    std::string inbuf;
+    // A SET whose header line has been parsed, waiting for its data block.
+    bool set_pending = false;
+    std::string set_key;
+    size_t set_data_at = 0;  // Offset of the data block in inbuf.
+    size_t set_bytes = 0;
+  };
+
+  void Process(TcpConn* conn, Session* session);
+  // Consumes the next complete request from session->inbuf and fills
+  // `reply`; returns false if the request has not fully arrived yet.
+  bool NextReply(Session* session, std::string* reply);
 
   EtherStack* stack_;
   MemcachedParams params_;
-  std::map<std::string, std::string> store_;
+  std::unordered_map<std::string, std::string> store_;
   size_t op_bytes_ = 0;  // Value bytes touched by the op being processed.
   uint64_t sets_ = 0;
   uint64_t gets_ = 0;

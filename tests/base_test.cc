@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/base/bytes.h"
 #include "src/base/rng.h"
@@ -232,16 +233,28 @@ TEST(BytesTest, ChecksumMatchesReferenceAtEveryLengthAndOffset) {
   // protocol 17 and a 64 KB L4 length.
   const uint32_t kPseudo64k = 4 * 0xffff + 17 + 65535;
   const uint32_t seeds[] = {0, 1, 0xffff, 0x10000, 0x1fffe, kPseudo64k, 0xffffffff};
+  // Every length up to 257, then frame- and page-sized lengths that run the
+  // 32-byte vector loop many times before each possible tail.
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 257; ++len) {
+    lengths.push_back(len);
+  }
+  for (size_t len : {1472, 1480, 4096}) {
+    lengths.push_back(len);
+  }
+  for (size_t len = 8192; len <= 8207; ++len) {
+    lengths.push_back(len);
+  }
   Rng rng(1071);
-  Buffer random(257 + 8);
+  Buffer random(8207 + 8);
   for (auto& b : random) {
     b = static_cast<uint8_t>(rng.NextU64());
   }
-  Buffer ones(257 + 8, 0xff);
-  Buffer zeros(257 + 8, 0x00);
+  Buffer ones(8207 + 8, 0xff);
+  Buffer zeros(8207 + 8, 0x00);
   for (const Buffer* buf : {&random, &ones, &zeros}) {
     for (size_t offset = 0; offset < 8; ++offset) {
-      for (size_t len = 0; len <= 257; ++len) {
+      for (size_t len : lengths) {
         auto span = std::span<const uint8_t>(*buf).subspan(offset, len);
         for (uint32_t seed : seeds) {
           ASSERT_EQ(InternetChecksum(span, seed), ReferenceChecksum(span, seed))

@@ -45,6 +45,74 @@ TEST(BmkSchedTest, DestructionCancelsParkedTimers) {
   EXPECT_LE(wakes, 4);
 }
 
+Task ShortSleeper(BmkSched* sched, int cycles, int* wakes) {
+  for (int i = 0; i < cycles; ++i) {
+    co_await sched->Sleep(Micros(1 + i % 3));
+    ++*wakes;
+  }
+}
+
+TEST(BmkSchedTest, TimerSlotsAreReusedAcrossParks) {
+  Executor ex;
+  Vcpu cpu(&ex);
+  BmkSched sched(&ex, &cpu);
+  constexpr int kThreads = 4;
+  int wakes = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    sched.Spawn("sleeper", [&] { return ShortSleeper(&sched, 2500, &wakes); });
+  }
+  EXPECT_EQ(sched.parked_timers(), static_cast<size_t>(kThreads));
+  ex.RunUntilIdle();
+  EXPECT_EQ(wakes, 10000);
+  EXPECT_EQ(sched.parked_timers(), 0u);
+  // One slot per thread that was ever parked at once, not one per park.
+  EXPECT_LE(sched.timer_slot_capacity(), static_cast<size_t>(kThreads));
+}
+
+// Counts its own destruction, so a test can see each coroutine frame
+// destroyed exactly once.
+struct FrameProbe {
+  explicit FrameProbe(int* destroyed) : destroyed(destroyed) {}
+  ~FrameProbe() { ++*destroyed; }
+  int* destroyed;
+};
+
+Task ProbedSleeper(BmkSched* sched, SimDuration period, int* destroyed, int* wakes) {
+  FrameProbe probe(destroyed);
+  for (;;) {
+    co_await sched->Sleep(period);
+    ++*wakes;
+  }
+}
+
+TEST(BmkSchedTest, DestructionDestroysEachParkedFrameOnce) {
+  Executor ex;
+  Vcpu cpu(&ex);
+  constexpr int kThreads = 6;
+  std::vector<int> destroyed(kThreads, 0);
+  int wakes = 0;
+  {
+    BmkSched sched(&ex, &cpu);
+    for (int t = 0; t < kThreads; ++t) {
+      sched.Spawn("sleeper", [&, t] {
+        return ProbedSleeper(&sched, Micros(10 + 7 * t), &destroyed[t], &wakes);
+      });
+    }
+    ex.RunFor(Micros(200));
+    EXPECT_EQ(sched.parked_timers(), static_cast<size_t>(kThreads));
+    EXPECT_GT(wakes, 0);
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(destroyed[t], 1) << "thread " << t;
+  }
+  const int wakes_at_destruction = wakes;
+  ex.RunFor(Millis(1));  // The orphaned wake events fire as no-ops.
+  EXPECT_EQ(wakes, wakes_at_destruction);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(destroyed[t], 1) << "thread " << t;
+  }
+}
+
 Task CpuHog(BmkSched* sched, int* iterations, int n) {
   for (int i = 0; i < n; ++i) {
     co_await sched->Run(Micros(100));

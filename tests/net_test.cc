@@ -422,9 +422,9 @@ TEST_F(NicPairTest, UnconnectedNicDropsTx) {
 class StubIf : public NetIf {
  public:
   StubIf(std::string name, MacAddr mac) : NetIf(std::move(name), mac) { SetUp(true); }
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     ++out_count;
-    last = frame;
+    last = std::move(frame);
   }
   int out_count = 0;
   EthernetFrame last;
@@ -506,6 +506,84 @@ TEST(BridgeTest, DownPortNotFloodedTo) {
   p2.SetUp(false);
   p1.InjectInput(FrameBetween(MacAddr::FromId(0x11), MacAddr::Broadcast()));
   EXPECT_EQ(p2.out_count, 0);
+}
+
+// A UDP frame carrying `bytes` of a counting pattern.
+EthernetFrame UdpFrameBetween(MacAddr src, MacAddr dst, size_t bytes) {
+  EthernetFrame f = FrameBetween(src, dst);
+  Buffer& payload = std::get<UdpDatagram>(f.ip()->l4).payload;
+  payload.resize(bytes);
+  for (size_t i = 0; i < bytes; ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  return f;
+}
+
+const Buffer& UdpPayload(const EthernetFrame& frame) {
+  return std::get<UdpDatagram>(frame.ip()->l4).payload;
+}
+
+// NIC -> wire -> NIC -> bridge -> port: every hop moves the frame, so the
+// payload that reaches the port is the very Buffer the sender built.
+TEST(BridgeTest, UnicastAcrossWireAndBridgeIsNeverCopied) {
+  Executor ex;
+  Nic sender(&ex, "a", "nicA", MacAddr::FromId(1));
+  Nic uplink(&ex, "b", "nicB", MacAddr::FromId(2));
+  Nic::ConnectBackToBack(&sender, &uplink);
+  Bridge bridge("br0", nullptr);
+  StubIf p1("p1", MacAddr::FromId(3));
+  StubIf p2("p2", MacAddr::FromId(4));
+  bridge.AddIf(uplink.netif());
+  bridge.AddIf(&p1);
+  bridge.AddIf(&p2);
+  uplink.netif()->SetUp(true);
+
+  const MacAddr h1 = MacAddr::FromId(0x11);
+  const MacAddr h2 = MacAddr::FromId(0x22);
+  p1.InjectInput(FrameBetween(h2, h1));  // Learn h2 behind p1.
+  ex.RunUntilIdle();
+  ASSERT_EQ(bridge.LookupFdb(h2), &p1);
+  const int p1_before = p1.out_count;
+  const int p2_before = p2.out_count;
+
+  EthernetFrame frame = UdpFrameBetween(h1, h2, 1400);
+  const Buffer expected = UdpPayload(frame);
+  const uint8_t* const bytes = UdpPayload(frame).data();
+  sender.netif()->Output(std::move(frame));
+  ex.RunUntilIdle();
+
+  ASSERT_EQ(p1.out_count, p1_before + 1);
+  EXPECT_EQ(p2.out_count, p2_before);
+  EXPECT_EQ(UdpPayload(p1.last).data(), bytes) << "a hop copied the payload";
+  EXPECT_EQ(UdpPayload(p1.last), expected);
+}
+
+TEST(BridgeTest, FloodedBroadcastReachesEveryPortIntact) {
+  Executor ex;
+  Nic sender(&ex, "a", "nicA", MacAddr::FromId(1));
+  Nic uplink(&ex, "b", "nicB", MacAddr::FromId(2));
+  Nic::ConnectBackToBack(&sender, &uplink);
+  Bridge bridge("br0", nullptr);
+  StubIf p1("p1", MacAddr::FromId(3));
+  StubIf p2("p2", MacAddr::FromId(4));
+  StubIf p3("p3", MacAddr::FromId(5));
+  bridge.AddIf(uplink.netif());
+  bridge.AddIf(&p1);
+  bridge.AddIf(&p2);
+  bridge.AddIf(&p3);
+  uplink.netif()->SetUp(true);
+
+  EthernetFrame frame = UdpFrameBetween(MacAddr::FromId(0x11), MacAddr::Broadcast(), 1400);
+  const Buffer expected = UdpPayload(frame);
+  sender.netif()->Output(std::move(frame));
+  ex.RunUntilIdle();
+
+  EXPECT_EQ(bridge.flooded(), 1u);
+  for (const StubIf* port : {&p1, &p2, &p3}) {
+    ASSERT_EQ(port->out_count, 1) << port->ifname();
+    EXPECT_EQ(port->last.dst, MacAddr::Broadcast()) << port->ifname();
+    EXPECT_EQ(UdpPayload(port->last), expected) << port->ifname();
+  }
 }
 
 // --- Stack: ARP, ping, UDP, TCP over a direct NIC pair. ---

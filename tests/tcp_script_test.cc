@@ -33,7 +33,7 @@ class ScriptIf : public NetIf {
  public:
   ScriptIf() : NetIf("script0", MacAddr::FromId(1)) { SetUp(true); }
 
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     CountTx(frame);
     const Ipv4Packet* ip = frame.ip();
     ASSERT_NE(ip, nullptr) << "stack emitted a non-IP frame (ARP not seeded?)";
@@ -148,7 +148,7 @@ class TcpScriptTest : public ::testing::Test {
     frame.dst = wire_.mac();
     frame.src = MacAddr::FromId(2);
     frame.payload = std::move(packet);
-    wire_.InjectInput(frame);
+    wire_.InjectInput(std::move(frame));
   }
 
   void ExpectOut(const Row& row) {

@@ -23,21 +23,21 @@ class LossyIf : public NetIf {
         loss_(loss),
         rng_(seed) {
     SetUp(true);
-    inner_->SetInputHandler([this](const EthernetFrame& frame) {
+    inner_->SetInputHandler([this](EthernetFrame&& frame) {
       if (rng_.NextBool(loss_)) {
         ++dropped_;
         return;
       }
-      DeliverInput(frame);
+      DeliverInput(std::move(frame));
     });
   }
 
-  void Output(const EthernetFrame& frame) override {
+  void Output(EthernetFrame frame) override {
     if (rng_.NextBool(loss_)) {
       ++dropped_;
       return;
     }
-    inner_->Output(frame);
+    inner_->Output(std::move(frame));
   }
 
   uint64_t dropped() const { return dropped_; }
@@ -111,6 +111,42 @@ TEST_P(TcpLossTest, EchoUnderLossCompletes) {
   });
   ex_.RunUntilIdle();
   EXPECT_EQ(reply.size(), 50000u);
+}
+
+// The send buffer drops acknowledged bytes by advancing a head offset and
+// compacts once the head passes half the buffer. Appending 8 KB every 20 us
+// while lossy, partial ACKs trickle in makes the head cross that point many
+// times with live bytes behind it; a compaction that lost or repeated a byte
+// would corrupt the stream or leave the queue undrained.
+TEST_P(TcpLossTest, SendBufferCompactsUnderPartialAcksAndRetransmits) {
+  constexpr size_t kChunk = 8 * 1024;
+  constexpr int kChunks = 24;  // 192 KB.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919);
+  Buffer payload(kChunk * kChunks);
+  for (auto& b : payload) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+
+  Buffer received;
+  server_->ListenTcp(8080, [&](TcpConn* conn) {
+    conn->SetDataCallback([&](std::span<const uint8_t> data) {
+      received.insert(received.end(), data.begin(), data.end());
+    });
+  });
+  TcpConn* c = client_->ConnectTcp(kIpB, 8080, [](TcpConn*) {});
+  for (int i = 0; i < kChunks; ++i) {
+    ex_.PostAfter(Micros(20 * i), [c, &payload, i] {
+      c->Send(std::span<const uint8_t>(payload).subspan(i * kChunk, kChunk));
+    });
+  }
+  ex_.RunUntilIdle();
+
+  ASSERT_EQ(received.size(), payload.size()) << "dropped=" << lossy_->dropped();
+  EXPECT_EQ(Fnv1a(received), Fnv1a(payload));
+  EXPECT_EQ(c->send_queue_bytes(), 0u);
+  EXPECT_EQ(c->bytes_acked(), payload.size());
+  EXPECT_GT(c->retransmits() + c->fast_retransmits(), 0u);
+  EXPECT_GT(lossy_->dropped(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TcpLossTest, ::testing::Range(1, 6));
