@@ -26,6 +26,10 @@ void BlockDevice::Submit(DiskRequest request) {
   KITE_CHECK(request.offset >= 0 &&
              request.offset + static_cast<int64_t>(request.length) <= params_.capacity_bytes)
       << "I/O beyond device capacity";
+  if (queue_.empty() && active_ < params_.queue_depth) {
+    Start(std::move(request));
+    return;
+  }
   queue_.push_back(std::move(request));
   TryStart();
 }
@@ -34,50 +38,64 @@ void BlockDevice::TryStart() {
   while (active_ < params_.queue_depth && !queue_.empty()) {
     DiskRequest req = std::move(queue_.front());
     queue_.pop_front();
-    ++active_;
-
-    SimDuration latency;
-    double gbps = params_.read_gbps;
-    switch (req.op) {
-      case DiskOp::kRead:
-        latency = params_.read_latency;
-        gbps = params_.read_gbps;
-        break;
-      case DiskOp::kWrite:
-        latency = params_.write_latency;
-        gbps = params_.write_gbps;
-        break;
-      case DiskOp::kFlush:
-        latency = params_.flush_latency;
-        break;
-    }
-    SimDuration transfer;
-    if (req.op != DiskOp::kFlush && req.length > 0) {
-      transfer = Nanos(static_cast<int64_t>(static_cast<double>(req.length) / gbps));
-    }
-    // Transfers serialize on the device's internal bandwidth; access latency
-    // overlaps across the queue (parallel flash channels).
-    const SimTime now = executor_->Now();
-    SimTime transfer_start = bw_free_at_ > now ? bw_free_at_ : now;
-    bw_free_at_ = transfer_start + transfer;
-    const SimTime completion = bw_free_at_ + latency;
-    executor_->PostAt(completion, KITE_POST_SITE("disk/io-complete"),
-                      [this, req = std::move(req)]() mutable { Complete(std::move(req)); });
+    Start(std::move(req));
   }
 }
 
-void BlockDevice::Complete(DiskRequest request) {
+void BlockDevice::Start(DiskRequest&& request) {
+  ++active_;
+  SimDuration latency;
+  double gbps = params_.read_gbps;
+  switch (request.op) {
+    case DiskOp::kRead:
+      latency = params_.read_latency;
+      gbps = params_.read_gbps;
+      break;
+    case DiskOp::kWrite:
+      latency = params_.write_latency;
+      gbps = params_.write_gbps;
+      break;
+    case DiskOp::kFlush:
+      latency = params_.flush_latency;
+      break;
+  }
+  SimDuration transfer;
+  if (request.op != DiskOp::kFlush && request.length > 0) {
+    transfer = Nanos(static_cast<int64_t>(static_cast<double>(request.length) / gbps));
+  }
+  // Transfers serialize on the device's internal bandwidth; access latency
+  // overlaps across the queue (parallel flash channels).
+  const SimTime now = executor_->Now();
+  SimTime transfer_start = bw_free_at_ > now ? bw_free_at_ : now;
+  bw_free_at_ = transfer_start + transfer;
+  const SimTime completion = bw_free_at_ + latency;
+
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(started_.size());
+    started_.push_back(std::move(request));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    started_[slot] = std::move(request);
+  }
+  executor_->PostAt(completion, KITE_POST_SITE("disk/io-complete"),
+                    [this, slot] { Complete(slot); });
+}
+
+void BlockDevice::Complete(uint32_t slot) {
   if (faults_ != nullptr && faults_->ShouldFail(FaultSite::kDiskHang)) {
     // Hung controller: park the completion without releasing the queue-depth
     // slot, so a saturated queue wedges exactly like real stuck hardware.
-    hung_.push_back(std::move(request));
+    hung_.push_back(slot);
     return;
   }
   --active_;
+  DiskRequest request = std::move(started_[slot]);
+  free_slots_.push_back(slot);
   if (faults_ != nullptr && faults_->ShouldFail(FaultSite::kDiskIo)) {
     ++io_errors_;
-    auto done = std::move(request.done);
-    done(false, Buffer{});  // Media/controller error: no content effect.
+    request.done(false, Buffer{});  // Media/controller error: no content effect.
     TryStart();
     return;
   }
@@ -101,17 +119,15 @@ void BlockDevice::Complete(DiskRequest request) {
       ++flushes_;
       break;
   }
-  auto done = std::move(request.done);
-  done(true, std::move(data));
+  request.done(true, std::move(data));
   TryStart();
 }
 
 void BlockDevice::ReleaseHungIo() {
-  std::deque<DiskRequest> revived = std::move(hung_);
-  hung_.clear();
-  for (DiskRequest& req : revived) {
-    executor_->Post(KITE_POST_SITE("disk/hung-io-release"),
-                    [this, req = std::move(req)]() mutable { Complete(std::move(req)); });
+  std::vector<uint32_t> revived;
+  revived.swap(hung_);
+  for (uint32_t slot : revived) {
+    executor_->Post(KITE_POST_SITE("disk/hung-io-release"), [this, slot] { Complete(slot); });
   }
 }
 

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "src/base/bytes.h"
 #include "src/fault/fault.h"
@@ -101,7 +102,8 @@ class BlockDevice : public PciDevice {
 
  private:
   void TryStart();
-  void Complete(DiskRequest request);
+  void Start(DiskRequest&& request);
+  void Complete(uint32_t slot);
 
   Executor* executor_;
   DiskParams params_;
@@ -109,7 +111,12 @@ class BlockDevice : public PciDevice {
   FaultInjector* faults_ = nullptr;
 
   std::deque<DiskRequest> queue_;
-  std::deque<DiskRequest> hung_;  // Completions parked by kDiskHang.
+  // Started requests, by slot: the completion event captures only
+  // {this, slot}, so it fits the executor's inline storage. Slots are reused
+  // through free_slots_ (LIFO).
+  std::vector<DiskRequest> started_;
+  std::vector<uint32_t> free_slots_;
+  std::vector<uint32_t> hung_;  // Slots whose completion kDiskHang parked.
   int active_ = 0;
   SimTime bw_free_at_;
 

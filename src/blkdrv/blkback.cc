@@ -237,7 +237,7 @@ Page* BlkbackInstance::ResolvePage(GrantRef gref, bool write_access,
 
 Task BlkbackInstance::RequestThread() {
   // Hoisted run accumulator: capacity persists across wakeups (FlushRun
-  // refills it from the run pool after handing its storage to the device).
+  // swaps it with a parked run slot's emptied storage).
   std::vector<ResolvedSeg> run;
   while (!stopping_) {
     co_await wake_.Wait();
@@ -326,10 +326,12 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
                                      BlkOp* run_op, uint32_t ring_index,
                                      int64_t popped_ns) {
   requests_handled_->Inc();
-  auto state = std::make_shared<ReqState>();
-  state->id = req.id;
-  state->ring_index = ring_index;
-  state->popped_ns = popped_ns;
+  // reqs_ does not grow again before this returns, so `state` stays valid.
+  const uint32_t req_slot = AllocReq();
+  ReqState& state = reqs_[req_slot];
+  state.id = req.id;
+  state.ring_index = ring_index;
+  state.popped_ns = popped_ns;
 
   // Resolve the segment list into the reusable scratch (no suspension point
   // below touches it, so one per instance suffices).
@@ -341,10 +343,9 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
       // Indirect was never advertised; a frontend sending it anyway is
       // misbehaving.
       bad_requests_->Inc();
-      state->op = req.indirect_op;
-      state->parts_outstanding = 0;
-      state->ok = false;
-      SendResponse(state);
+      state.op = req.indirect_op;
+      state.ok = false;
+      SendResponse(req_slot);
       return;
     }
     indirect_requests_->Inc();
@@ -366,19 +367,19 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
         // without conflating them with shape-invalid requests.
         indirect_map_fails_->Inc();
       }
-      state->op = op;
-      state->ok = false;
-      SendResponse(state);
+      state.op = op;
+      state.ok = false;
+      SendResponse(req_slot);
       return;
     }
     segments.assign(seg_page->begin(), seg_page->begin() + req.nr_indirect_segments);
   } else if (req.op == BlkOp::kFlush) {
-    state->op = BlkOp::kFlush;
-    state->parts_outstanding = 1;
+    state.op = BlkOp::kFlush;
+    state.parts_outstanding = 1;
     DiskRequest flush;
     flush.op = DiskOp::kFlush;
     const int64_t flush_submit_ns = sched_->executor()->Now().ns();
-    flush.done = [this, alive = alive_, state, flush_submit_ns](bool ok, Buffer) {
+    flush.done = [this, alive = alive_, req_slot, flush_submit_ns](bool ok, Buffer) {
       if (!*alive) {
         return;
       }
@@ -387,10 +388,10 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
         device_ns_->Record(static_cast<uint64_t>(done_ns - flush_submit_ns));
       }
       if (!ok) {
-        state->ok = false;
+        reqs_[req_slot].ok = false;
       }
-      if (--state->parts_outstanding == 0) {
-        SendResponse(state);
+      if (--reqs_[req_slot].parts_outstanding == 0) {
+        SendResponse(req_slot);
       }
     };
     device_ops_->Inc();
@@ -401,18 +402,18 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
     // embedded array would be out of bounds.
     if (req.nr_segments > kBlkMaxDirectSegments) {
       bad_requests_->Inc();
-      state->op = req.op;
-      state->ok = false;
-      SendResponse(state);
+      state.op = req.op;
+      state.ok = false;
+      SendResponse(req_slot);
       return;
     }
     segments.assign(req.segments.begin(), req.segments.begin() + req.nr_segments);
   }
-  state->op = op;
+  state.op = op;
   if (!ValidateRequest(req, segments)) {
     bad_requests_->Inc();
-    state->ok = false;
-    SendResponse(state);
+    state.ok = false;
+    SendResponse(req_slot);
     return;
   }
 
@@ -426,13 +427,13 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
       backend_->vcpu(0)->Charge(costs_->blkback_per_segment);
     }
     ResolvedSeg resolved;
-    resolved.req = state;
+    resolved.req = req_slot;
     resolved.disk_offset = disk_offset;
     resolved.length = seg.bytes();
     resolved.page_offset = static_cast<size_t>(seg.first_sect) * kSectorSize;
     resolved.page = ResolvePage(seg.gref, op == BlkOp::kRead, &resolved.transient);
     if (resolved.page == nullptr) {
-      state->ok = false;
+      state.ok = false;
       disk_offset += static_cast<int64_t>(resolved.length);
       continue;
     }
@@ -450,39 +451,45 @@ void BlkbackInstance::ProcessRequest(const BlkRequest& req, std::vector<Resolved
       FlushRun(run, *run_op);
       *run_op = op;
     }
-    ++state->parts_outstanding;
+    ++state.parts_outstanding;
     run->push_back(std::move(resolved));
     disk_offset += static_cast<int64_t>(run->back().length);
   }
 
-  if (state->parts_outstanding == 0) {
+  if (state.parts_outstanding == 0) {
     // Nothing submitted (all segments failed, or empty request).
-    SendResponse(state);
+    SendResponse(req_slot);
   }
 }
 
-std::vector<BlkbackInstance::ResolvedSeg> BlkbackInstance::TakeRun() {
-  if (run_pool_.empty()) {
-    return {};
+uint32_t BlkbackInstance::AllocReq() {
+  if (free_reqs_.empty()) {
+    reqs_.emplace_back();
+    return static_cast<uint32_t>(reqs_.size() - 1);
   }
-  std::vector<ResolvedSeg> run = std::move(run_pool_.back());
-  run_pool_.pop_back();
-  return run;
-}
-
-void BlkbackInstance::RecycleRun(std::vector<ResolvedSeg>&& run) {
-  run.clear();
-  if (run_pool_.size() < 8) {
-    run_pool_.push_back(std::move(run));
-  }
+  const uint32_t slot = free_reqs_.back();
+  free_reqs_.pop_back();
+  reqs_[slot] = ReqState();
+  return slot;
 }
 
 void BlkbackInstance::FlushRun(std::vector<ResolvedSeg>* run, BlkOp op) {
   if (run->empty()) {
     return;
   }
-  std::vector<ResolvedSeg> segs = std::move(*run);
-  *run = TakeRun();
+  uint32_t slot;
+  if (free_runs_.empty()) {
+    slot = static_cast<uint32_t>(runs_.size());
+    runs_.emplace_back();
+  } else {
+    slot = free_runs_.back();
+    free_runs_.pop_back();
+  }
+  Run& parked = runs_[slot];
+  parked.segs.swap(*run);  // `run` takes the slot's empty storage.
+  parked.op = op;
+  parked.submit_ns = sched_->executor()->Now().ns();
+  const std::vector<ResolvedSeg>& segs = parked.segs;
 
   const int64_t offset = segs.front().disk_offset;
   size_t total = 0;
@@ -494,7 +501,6 @@ void BlkbackInstance::FlushRun(std::vector<ResolvedSeg>* run, BlkOp op) {
   dev.op = op == BlkOp::kRead ? DiskOp::kRead : DiskOp::kWrite;
   dev.offset = offset;
   dev.length = total;
-  const int64_t dev_submit_ns = sched_->executor()->Now().ns();
   if (op == BlkOp::kWrite && disk_->store_data()) {
     // Gather write payload from the (mapped) guest pages.
     dev.data.reserve(total);
@@ -506,32 +512,30 @@ void BlkbackInstance::FlushRun(std::vector<ResolvedSeg>* run, BlkOp op) {
   device_ops_->Inc();
   // NetBSD's buffer callback (paper §4.4 "Response"): the device driver
   // invokes this on completion; we respond and release mappings there.
-  // (shared_ptr because std::function requires copyable callables.)
-  auto segs_ptr = std::make_shared<std::vector<ResolvedSeg>>(std::move(segs));
-  dev.done = [this, alive = alive_, op, segs_ptr, dev_submit_ns](bool ok, Buffer data) {
-    if (!*alive) {
-      return;
+  dev.done = [this, alive = alive_, slot](bool ok, Buffer data) {
+    if (*alive) {
+      CompleteRun(slot, ok, data);
     }
-    const int64_t done_ns = sched_->executor()->Now().ns();
-    if (done_ns >= dev_submit_ns) {
-      device_ns_->Record(static_cast<uint64_t>(done_ns - dev_submit_ns));
-    }
-    CompletePart(*segs_ptr, op, ok, data);
-    RecycleRun(std::move(*segs_ptr));
   };
   disk_->Submit(std::move(dev));
 }
 
-void BlkbackInstance::CompletePart(std::vector<ResolvedSeg>& segs, BlkOp op, bool ok,
-                                   const Buffer& data) {
+void BlkbackInstance::CompleteRun(uint32_t slot, bool ok, const Buffer& data) {
+  // Nothing below resumes the request thread (wakeups go through the
+  // executor), so runs_ cannot grow while `run` is referenced.
+  Run& run = runs_[slot];
+  const int64_t done_ns = sched_->executor()->Now().ns();
+  if (done_ns >= run.submit_ns) {
+    device_ns_->Record(static_cast<uint64_t>(done_ns - run.submit_ns));
+  }
   // Completion-side CPU cost (response handling).
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("blkback/request"));
     backend_->vcpu(0)->Charge(Nanos(600));
   }
   size_t data_pos = 0;
-  for (ResolvedSeg& s : segs) {
-    if (op == BlkOp::kRead && !data.empty() && s.page != nullptr) {
+  for (ResolvedSeg& s : run.segs) {
+    if (run.op == BlkOp::kRead && !data.empty() && s.page != nullptr) {
       // Scatter read data into the guest page.
       const size_t n = std::min(s.length, data.size() - data_pos);
       std::copy_n(data.begin() + data_pos, n, s.page->data.begin() + s.page_offset);
@@ -541,28 +545,32 @@ void BlkbackInstance::CompletePart(std::vector<ResolvedSeg>& segs, BlkOp op, boo
     // persistent mappings are retained in the cache.
     s.transient.Unmap();
     if (!ok) {
-      s.req->ok = false;
+      reqs_[s.req].ok = false;
     }
-    if (--s.req->parts_outstanding == 0) {
+    if (--reqs_[s.req].parts_outstanding == 0) {
       SendResponse(s.req);
     }
   }
+  run.segs.clear();
+  free_runs_.push_back(slot);
 }
 
-void BlkbackInstance::SendResponse(const std::shared_ptr<ReqState>& req) {
+void BlkbackInstance::SendResponse(uint32_t req) {
+  const ReqState& state = reqs_[req];
   BlkResponse rsp;
-  rsp.id = req->id;
-  rsp.op = req->op;
-  rsp.status = req->ok ? BlkStatus::kOkay : BlkStatus::kError;
+  rsp.id = state.id;
+  rsp.op = state.op;
+  rsp.status = state.ok ? BlkStatus::kOkay : BlkStatus::kError;
   ring_->ProduceResponse(rsp);
   const SimTime now = sched_->executor()->Now();
-  if (now.ns() >= req->popped_ns) {
-    req_service_ns_->Record(static_cast<uint64_t>(now.ns() - req->popped_ns));
+  if (now.ns() >= state.popped_ns) {
+    req_service_ns_->Record(static_cast<uint64_t>(now.ns() - state.popped_ns));
   }
   if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
     t->FlowStep(backend_->id(), frontend_dom_, "blk", "rsp_push", now,
-                MakeFlowId(FlowKind::kBlk, frontend_dom_, devid_, req->ring_index));
+                MakeFlowId(FlowKind::kBlk, frontend_dom_, devid_, state.ring_index));
   }
+  free_reqs_.push_back(req);
   // Late disk completions can land after BeginShutdown closed the port.
   const bool notify = ring_->PushResponses();
   if (FlightRecorder* fr = hv_->recorder(); fr != nullptr) {

@@ -97,7 +97,7 @@ class BlkbackInstance {
   bool RingQuiescent(std::string* detail) const;
 
  private:
-  // Per-ring-request completion state.
+  // Per-ring-request completion state, in the reqs_ slot table.
   struct ReqState {
     uint64_t id = 0;
     BlkOp op = BlkOp::kRead;
@@ -108,12 +108,19 @@ class BlkbackInstance {
   };
   // One segment resolved to a guest page mapping.
   struct ResolvedSeg {
-    std::shared_ptr<ReqState> req;
+    uint32_t req = 0;               // Slot in reqs_.
     int64_t disk_offset = 0;
     size_t length = 0;
     Page* page = nullptr;           // Valid for persistent-cached mappings.
     MappedGrant transient;          // Holds the mapping when not persistent.
     size_t page_offset = 0;
+  };
+  // One coalesced device op in flight, in the runs_ slot table. segs keeps
+  // its capacity across reuse.
+  struct Run {
+    std::vector<ResolvedSeg> segs;
+    BlkOp op = BlkOp::kRead;
+    int64_t submit_ns = 0;
   };
 
   Task RequestThread();
@@ -122,15 +129,14 @@ class BlkbackInstance {
   bool ValidateRequest(const BlkRequest& req, const std::vector<BlkSegment>& segments);
   void ProcessRequest(const BlkRequest& req, std::vector<ResolvedSeg>* run,
                       BlkOp* run_op, uint32_t ring_index, int64_t popped_ns);
+  // Parks `run` in a free runs_ slot (handing that slot's empty storage back
+  // in `run`) and submits it as one device op.
   void FlushRun(std::vector<ResolvedSeg>* run, BlkOp op);
   Page* ResolvePage(GrantRef gref, bool write_access, MappedGrant* transient_out);
-  void SendResponse(const std::shared_ptr<ReqState>& req);
-  void CompletePart(std::vector<ResolvedSeg>& segs, BlkOp op, bool ok, const Buffer& data);
-  // Run-vector pool: FlushRun hands each run's storage to the device
-  // completion, which returns it here so steady-state request processing
-  // stops allocating segment arrays.
-  std::vector<ResolvedSeg> TakeRun();
-  void RecycleRun(std::vector<ResolvedSeg>&& run);
+  uint32_t AllocReq();
+  // Answers the request and frees its reqs_ slot.
+  void SendResponse(uint32_t req);
+  void CompleteRun(uint32_t slot, bool ok, const Buffer& data);
 
   Domain* backend_;
   Hypervisor* hv_;
@@ -167,9 +173,15 @@ class BlkbackInstance {
   std::map<GrantRef, MappedGrant> persistent_;
 
   // Reusable request-processing scratch (RequestThread is the only writer;
-  // ProcessRequest never suspends while these hold live data).
+  // ProcessRequest never suspends while it holds live data).
   std::vector<BlkSegment> seg_scratch_;
-  std::vector<std::vector<ResolvedSeg>> run_pool_;
+  // Slot tables for requests awaiting their response and for device ops in
+  // flight; freed slots are reused LIFO, so steady state allocates nothing.
+  // A disk completion captures its run's slot index.
+  std::vector<ReqState> reqs_;
+  std::vector<uint32_t> free_reqs_;
+  std::vector<Run> runs_;
+  std::vector<uint32_t> free_runs_;
 
   // Registry-backed under (backend domain, vbdX.Y, <name>).
   Counter* requests_handled_;

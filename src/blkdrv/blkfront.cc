@@ -23,6 +23,7 @@ Blkfront::Blkfront(Domain* guest, DomId backend_dom, int devid,
       backend_dom_(backend_dom),
       devid_(devid),
       on_connected_(std::move(on_connected)) {
+  ResetShadow();
   frontend_path_ = FrontendPath(guest->id(), "vbd", devid);
   backend_path_ = BackendPath(backend_dom, "vbd", guest->id(), devid);
   MetricRegistry* reg = hv_->metrics();
@@ -98,25 +99,32 @@ void Blkfront::HandleBackendDeath() {
   XenbusClient bus(&hv_->store(), guest_->id());
   bus.SwitchState(frontend_path_, XenbusState::kClosed);
   // Requeue every unacknowledged request at the FRONT of the chunk queue in
-  // original submission order (the in_flight_ map is keyed by monotonically
-  // increasing ids, so reverse iteration + push_front preserves order).
+  // original submission order: ids grow with submission, so walking the live
+  // slots by descending id and pushing each to the front restores it.
   // Writes the backend acked are already durable on the physical disk, which
   // survives the crash; requeued writes simply re-execute — idempotent — so
   // no acknowledged write is ever lost and no unacked write vanishes.
-  for (auto it = in_flight_.rbegin(); it != in_flight_.rend(); ++it) {
-    InFlight& f = it->second;
-    Chunk chunk;
-    chunk.op = f.op;
-    chunk.op_offset = f.op_offset;
-    chunk.disk_offset = f.op->base_offset + static_cast<int64_t>(f.op_offset);
-    chunk.length = f.length;
-    chunk.is_flush = f.is_flush;
-    --f.op->outstanding;
-    ++f.op->chunks_pending;
-    ++requests_requeued_;
-    queue_.push_front(std::move(chunk));
+  std::vector<Shadow*> live;
+  for (Shadow& s : shadow_) {
+    if (s.op != nullptr) {
+      live.push_back(&s);
+    }
   }
-  in_flight_.clear();
+  std::sort(live.begin(), live.end(),
+            [](const Shadow* a, const Shadow* b) { return a->id > b->id; });
+  for (Shadow* s : live) {
+    Chunk chunk;
+    chunk.op = s->op;
+    chunk.op_offset = s->op_offset;
+    chunk.disk_offset = s->op->base_offset + static_cast<int64_t>(s->op_offset);
+    chunk.length = s->length;
+    chunk.is_flush = s->is_flush;
+    --s->op->outstanding;
+    ++s->op->chunks_pending;
+    ++requests_requeued_;
+    queue_.push_front(chunk);
+  }
+  ResetShadow();
   // Reclaim every granted page (EndAccess succeeds because DestroyDomain
   // force-dropped the dead backend's mappings), then drop the ring and pools;
   // they are rebuilt against the replacement backend's feature set.
@@ -204,6 +212,7 @@ void Blkfront::PublishAndInitialise() {
   indirect_pool_.resize(kIndirectPoolPages);
   for (uint16_t i = 0; i < kIndirectPoolPages; ++i) {
     indirect_pool_[i].page = AllocPage();
+    indirect_pool_[i].page->object = std::make_shared<IndirectSegmentPage>();
     indirect_pool_[i].gref =
         guest_->grant_table().GrantAccess(backend_dom_, indirect_pool_[i].page, true);
     free_indirect_.push_back(i);
@@ -226,7 +235,7 @@ void Blkfront::PublishAndInitialise() {
 void Blkfront::Read(int64_t offset, size_t length, Buffer* out, IoCallback cb) {
   KITE_CHECK(offset % kSectorSize == 0 && length % kSectorSize == 0)
       << "block I/O must be sector-aligned";
-  auto op = std::make_shared<PendingOp>();
+  PendingOp* op = AllocOp();
   op->cb = std::move(cb);
   op->out = out;
   op->base_offset = offset;
@@ -235,36 +244,54 @@ void Blkfront::Read(int64_t offset, size_t length, Buffer* out, IoCallback cb) {
   if (out != nullptr) {
     out->assign(length, 0);
   }
-  EnqueueOp(std::move(op), /*is_flush=*/false);
+  EnqueueOp(op, /*is_flush=*/false);
 }
 
 void Blkfront::Write(int64_t offset, Buffer data, IoCallback cb) {
   KITE_CHECK(offset % kSectorSize == 0 && data.size() % kSectorSize == 0)
       << "block I/O must be sector-aligned";
-  auto op = std::make_shared<PendingOp>();
+  PendingOp* op = AllocOp();
   op->cb = std::move(cb);
   op->data = std::move(data);
   op->base_offset = offset;
   op->length = op->data.size();
   op->is_read = false;
-  EnqueueOp(std::move(op), /*is_flush=*/false);
+  EnqueueOp(op, /*is_flush=*/false);
 }
 
 void Blkfront::Flush(IoCallback cb) {
-  auto op = std::make_shared<PendingOp>();
+  PendingOp* op = AllocOp();
   op->cb = std::move(cb);
   op->length = 0;
-  EnqueueOp(std::move(op), /*is_flush=*/true);
+  EnqueueOp(op, /*is_flush=*/true);
 }
 
-void Blkfront::EnqueueOp(std::shared_ptr<PendingOp> op, bool is_flush) {
+Blkfront::PendingOp* Blkfront::AllocOp() {
+  if (free_ops_.empty()) {
+    ops_.push_back(std::make_unique<PendingOp>());
+    return ops_.back().get();
+  }
+  PendingOp* op = free_ops_.back();
+  free_ops_.pop_back();
+  return op;
+}
+
+void Blkfront::ResetShadow() {
+  free_shadow_.clear();
+  for (uint32_t slot = kBlkRingSize; slot-- > 0;) {
+    shadow_[slot].op = nullptr;
+    free_shadow_.push_back(slot);
+  }
+}
+
+void Blkfront::EnqueueOp(PendingOp* op, bool is_flush) {
   op->start_ns = hv_->executor()->Now().ns();
   if (is_flush || op->length == 0) {
     Chunk chunk;
     op->chunks_pending = 1;
-    chunk.op = std::move(op);
+    chunk.op = op;
     chunk.is_flush = true;
-    queue_.push_back(std::move(chunk));
+    queue_.push_back(chunk);
     PumpQueue();
     return;
   }
@@ -282,7 +309,7 @@ void Blkfront::EnqueueOp(std::shared_ptr<PendingOp> op, bool is_flush) {
     chunk.length = std::min(max_chunk, op->length - op_offset);
     op_offset += chunk.length;
     ++op->chunks_pending;
-    queue_.push_back(std::move(chunk));
+    queue_.push_back(chunk);
   }
   PumpQueue();
 }
@@ -305,58 +332,76 @@ void Blkfront::PumpQueue() {
 }
 
 bool Blkfront::SubmitChunk(const Chunk& chunk) {
-  if (ring_->Full()) {
+  // With a well-behaved backend a free shadow slot exists whenever the ring
+  // has room; responses with bogus ids advance the ring but free no slot.
+  if (ring_->Full() || free_shadow_.empty()) {
     return false;
   }
   {
     CpuScope cpu_scope(KITE_CPU_CATEGORY("blkfront/io"));
     guest_->vcpu(0)->Charge(per_request_cost_);
   }
-
-  const uint64_t id = next_req_id_++;
-  BlkRequest req;
-  req.id = id;
-  req.sector_number = static_cast<uint64_t>(chunk.disk_offset) / kSectorSize;
-
-  InFlight inflight;
-  inflight.op = chunk.op;
-  inflight.op_offset = chunk.op_offset;
-  inflight.length = chunk.length;
-  inflight.is_read = chunk.op->is_read;
-  inflight.is_flush = chunk.is_flush;
-
-  if (chunk.is_flush) {
-    req.op = BlkOp::kFlush;
-    req.nr_segments = 0;
-  } else {
-    // Build segments over pool pages.
-    const size_t pages_needed = (chunk.length + kPageSize - 1) / kPageSize;
-    const bool need_indirect = pages_needed > kBlkMaxDirectSegments;
+  PendingOp* op = chunk.op;
+  const size_t pages_needed = (chunk.length + kPageSize - 1) / kPageSize;
+  const bool need_indirect = !chunk.is_flush && pages_needed > kBlkMaxDirectSegments;
+  if (!chunk.is_flush) {
     if (need_indirect && (max_indirect_ == 0 || free_indirect_.empty())) {
       return false;  // Shouldn't happen: chunks sized to capability.
     }
     if (free_pages_.size() < pages_needed) {
       return false;
     }
-    std::vector<BlkSegment> segs;
-    segs.reserve(pages_needed);
+  }
+
+  const uint32_t slot = free_shadow_.back();
+  free_shadow_.pop_back();
+  Shadow& shadow = shadow_[slot];
+  shadow.id = next_seq_++ << kShadowBits | slot;
+  shadow.op = op;
+  shadow.page_ids.clear();
+  shadow.op_offset = chunk.op_offset;
+  shadow.length = chunk.length;
+  shadow.is_read = op->is_read;
+  shadow.is_flush = chunk.is_flush;
+  shadow.used_indirect = need_indirect;
+
+  BlkRequest req;
+  req.id = shadow.id;
+  req.sector_number = static_cast<uint64_t>(chunk.disk_offset) / kSectorSize;
+  if (chunk.is_flush) {
+    req.op = BlkOp::kFlush;
+    req.nr_segments = 0;
+  } else {
+    // Build segments over pool pages: straight into the request, or into the
+    // indirect descriptor page when they exceed the direct limit.
+    IndirectSegmentPage* ind_segs = nullptr;
+    if (need_indirect) {
+      shadow.indirect_page_id = free_indirect_.back();
+      free_indirect_.pop_back();
+      ind_segs = indirect_pool_[shadow.indirect_page_id].page->As<IndirectSegmentPage>();
+      ind_segs->clear();
+    }
     size_t remaining = chunk.length;
     size_t chunk_pos = 0;
     for (size_t p = 0; p < pages_needed; ++p) {
       const uint16_t page_id = free_pages_.back();
       free_pages_.pop_back();
-      inflight.page_ids.push_back(page_id);
+      shadow.page_ids.push_back(page_id);
       const size_t n = std::min(kPageSize, remaining);
       BlkSegment seg;
       seg.gref = pool_[page_id].gref;
       seg.first_sect = 0;
       seg.last_sect = static_cast<uint8_t>((n + kSectorSize - 1) / kSectorSize - 1);
-      segs.push_back(seg);
-      if (!chunk.op->is_read) {
+      if (ind_segs != nullptr) {
+        ind_segs->push_back(seg);
+      } else {
+        req.segments[p] = seg;
+      }
+      if (!op->is_read) {
         // Copy write payload into the granted page.
-        const size_t avail = chunk.op->data.size() - (chunk.op_offset + chunk_pos);
+        const size_t avail = op->data.size() - (chunk.op_offset + chunk_pos);
         const size_t copy_n = std::min(n, avail);
-        std::copy_n(chunk.op->data.begin() + chunk.op_offset + chunk_pos, copy_n,
+        std::copy_n(op->data.begin() + chunk.op_offset + chunk_pos, copy_n,
                     pool_[page_id].page->data.begin());
       }
       remaining -= n;
@@ -369,31 +414,23 @@ bool Blkfront::SubmitChunk(const Chunk& chunk) {
     }
 
     if (need_indirect) {
-      const uint16_t ind_id = free_indirect_.back();
-      free_indirect_.pop_back();
-      inflight.indirect_page_id = ind_id;
-      inflight.used_indirect = true;
-      auto seg_page = std::make_shared<IndirectSegmentPage>(std::move(segs));
-      indirect_pool_[ind_id].page->object = seg_page;
       req.op = BlkOp::kIndirect;
-      req.indirect_op = chunk.op->is_read ? BlkOp::kRead : BlkOp::kWrite;
-      req.indirect_gref = indirect_pool_[ind_id].gref;
-      req.nr_indirect_segments = static_cast<uint16_t>(seg_page->size());
+      req.indirect_op = op->is_read ? BlkOp::kRead : BlkOp::kWrite;
+      req.indirect_gref = indirect_pool_[shadow.indirect_page_id].gref;
+      req.nr_indirect_segments = static_cast<uint16_t>(ind_segs->size());
       ++indirect_requests_;
     } else {
-      req.op = chunk.op->is_read ? BlkOp::kRead : BlkOp::kWrite;
-      req.nr_segments = static_cast<uint8_t>(segs.size());
-      std::copy(segs.begin(), segs.end(), req.segments.begin());
+      req.op = op->is_read ? BlkOp::kRead : BlkOp::kWrite;
+      req.nr_segments = static_cast<uint8_t>(pages_needed);
     }
   }
 
-  ++chunk.op->outstanding;
-  --chunk.op->chunks_pending;
+  ++op->outstanding;
+  --op->chunks_pending;
   const SimTime now = hv_->executor()->Now();
   const uint32_t ring_index = ring_->req_prod_pvt();
-  inflight.submit_ns = now.ns();
-  inflight.ring_index = ring_index;
-  in_flight_[id] = std::move(inflight);
+  shadow.submit_ns = now.ns();
+  shadow.ring_index = ring_index;
   ring_->ProduceRequest(req, now.ns());
   ++requests_sent_;
   if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
@@ -419,69 +456,76 @@ void Blkfront::OnIrq() {
 }
 
 void Blkfront::CompleteRequest(uint64_t id, bool ok) {
-  auto it = in_flight_.find(id);
-  if (it == in_flight_.end()) {
+  // The id is backend-controlled: one that was never issued, was already
+  // answered, or names a slot since reused does not match the slot's id.
+  Shadow& shadow = shadow_[id & (kBlkRingSize - 1)];
+  if (shadow.op == nullptr || shadow.id != id) {
     return;
   }
-  InFlight inflight = std::move(it->second);
-  in_flight_.erase(it);
 
   const SimTime now = hv_->executor()->Now();
-  if (now.ns() >= inflight.submit_ns) {
-    req_ring_ns_->Record(static_cast<uint64_t>(now.ns() - inflight.submit_ns));
+  if (now.ns() >= shadow.submit_ns) {
+    req_ring_ns_->Record(static_cast<uint64_t>(now.ns() - shadow.submit_ns));
   }
   if (EventTracer* t = hv_->tracer(); t != nullptr && t->enabled()) {
     t->FlowEnd(guest_->id(), 0, "blk", "req_complete", now,
-               MakeFlowId(FlowKind::kBlk, guest_->id(), devid_, inflight.ring_index),
+               MakeFlowId(FlowKind::kBlk, guest_->id(), devid_, shadow.ring_index),
                per_request_cost_);
   }
 
-  if (inflight.is_read && ok) {
+  PendingOp* op = shadow.op;
+  if (shadow.is_read && ok) {
     {
       CpuScope cpu_scope(KITE_CPU_CATEGORY("blkfront/io"));
       guest_->vcpu(0)->Charge(
-          Nanos(static_cast<int64_t>(copy_ns_per_byte_ * inflight.length)));
+          Nanos(static_cast<int64_t>(copy_ns_per_byte_ * shadow.length)));
     }
-    if (inflight.op->out != nullptr) {
+    if (op->out != nullptr) {
       size_t copied = 0;
-      for (uint16_t page_id : inflight.page_ids) {
-        const size_t n = std::min(kPageSize, inflight.length - copied);
+      for (uint16_t page_id : shadow.page_ids) {
+        const size_t n = std::min(kPageSize, shadow.length - copied);
         std::copy_n(pool_[page_id].page->data.begin(), n,
-                    inflight.op->out->begin() + inflight.op_offset + copied);
+                    op->out->begin() + shadow.op_offset + copied);
         copied += n;
-        if (copied >= inflight.length) {
+        if (copied >= shadow.length) {
           break;
         }
       }
     }
   }
   // Return pool pages. (With persistent grants the grant itself stays.)
-  for (uint16_t page_id : inflight.page_ids) {
+  for (uint16_t page_id : shadow.page_ids) {
     free_pages_.push_back(page_id);
   }
-  if (inflight.used_indirect) {
-    free_indirect_.push_back(inflight.indirect_page_id);
+  if (shadow.used_indirect) {
+    free_indirect_.push_back(shadow.indirect_page_id);
   }
-  FinishOpPart(inflight.op, ok);
+  // Free the slot before the op's callback, which may submit again.
+  shadow.op = nullptr;
+  free_shadow_.push_back(static_cast<uint32_t>(id & (kBlkRingSize - 1)));
+  FinishOpPart(op, ok);
 }
 
-void Blkfront::FinishOpPart(const std::shared_ptr<PendingOp>& op, bool ok) {
+void Blkfront::FinishOpPart(PendingOp* op, bool ok) {
   if (!ok) {
     op->ok = false;
   }
   --op->outstanding;
-  // The op completes when every chunk has been submitted and responded. A
-  // chunk still in queue_ keeps the op alive through its shared_ptr.
+  // The op completes when every chunk has been submitted and responded; a
+  // chunk still in queue_ holds chunks_pending above zero.
   if (op->outstanding == 0 && op->chunks_pending == 0) {
     ++ops_completed_;
     const int64_t now_ns = hv_->executor()->Now().ns();
     if (now_ns >= op->start_ns) {
       op_complete_ns_->Record(static_cast<uint64_t>(now_ns - op->start_ns));
     }
-    if (op->cb) {
-      auto cb = std::move(op->cb);
-      op->cb = nullptr;
-      cb(op->ok);
+    IoCallback cb = std::move(op->cb);
+    const bool op_ok = op->ok;
+    // Recycle before the callback, which may issue the next op.
+    *op = PendingOp();
+    free_ops_.push_back(op);
+    if (cb) {
+      cb(op_ok);
     }
   }
 }

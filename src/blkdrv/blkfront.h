@@ -8,6 +8,8 @@
 #ifndef SRC_BLKDRV_BLKFRONT_H_
 #define SRC_BLKDRV_BLKFRONT_H_
 
+#include <array>
+#include <bit>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -51,6 +53,9 @@ class Blkfront {
   uint64_t indirect_requests() const { return indirect_requests_; }
   uint64_t ops_completed() const { return ops_completed_; }
   size_t queued_chunks() const { return queue_.size(); }
+  // Granted data pages not held by an in-flight request (the whole pool
+  // when idle; 0 before the first connect).
+  size_t free_pool_pages() const { return free_pages_.size(); }
   // Completed reconnects to a fresh backend after the old one died.
   uint64_t recoveries() const { return recoveries_; }
   // Unacknowledged ring requests requeued across a backend death. Unlike
@@ -59,6 +64,9 @@ class Blkfront {
   uint64_t requests_requeued() const { return requests_requeued_; }
 
  private:
+  // One logical Read/Write/Flush. Recycled through free_ops_; it is live
+  // while it has chunks queued (chunks_pending) or requests on the ring
+  // (outstanding), and returns to the free list as its callback fires.
   struct PendingOp {
     int outstanding = 0;     // Ring requests awaiting a response.
     int chunks_pending = 0;  // Chunks not yet submitted to the ring.
@@ -72,14 +80,17 @@ class Blkfront {
     int64_t start_ns = 0;    // When the op was enqueued (observability).
   };
   struct Chunk {
-    std::shared_ptr<PendingOp> op;
+    PendingOp* op = nullptr;
     int64_t disk_offset = 0;
     size_t op_offset = 0;  // Byte offset within the op's buffer.
     size_t length = 0;
     bool is_flush = false;
   };
-  struct InFlight {
-    std::shared_ptr<PendingOp> op;
+  // One ring request in flight (Linux blkfront's shadow[] entry). The slot
+  // is free while op is null; page_ids keeps its capacity across reuse.
+  struct Shadow {
+    uint64_t id = 0;  // The request id the backend must echo.
+    PendingOp* op = nullptr;
     std::vector<uint16_t> page_ids;
     size_t op_offset = 0;
     size_t length = 0;
@@ -90,6 +101,11 @@ class Blkfront {
     int64_t submit_ns = 0;     // When the ring request was produced.
     uint32_t ring_index = 0;   // Free-running producer index (flow id).
   };
+  // A request id is (sequence << kShadowBits) | slot: the slot gives O(1)
+  // lookup, and the monotonic sequence makes a stale or repeated id differ
+  // from the id the slot holds now.
+  static constexpr int kShadowBits = std::countr_zero(kBlkRingSize);
+  static_assert(std::has_single_bit(kBlkRingSize), "shadow ids need a power-of-two ring");
 
   void OnBackendStateChange();
   void HandleBackendDeath();
@@ -97,11 +113,14 @@ class Blkfront {
   void WatchBackendState();
   void PublishAndInitialise();
   void OnIrq();
-  void EnqueueOp(std::shared_ptr<PendingOp> op, bool is_flush);
+  PendingOp* AllocOp();
+  void EnqueueOp(PendingOp* op, bool is_flush);
   void PumpQueue();
   bool SubmitChunk(const Chunk& chunk);
   void CompleteRequest(uint64_t id, bool ok);
-  void FinishOpPart(const std::shared_ptr<PendingOp>& op, bool ok);
+  void FinishOpPart(PendingOp* op, bool ok);
+  // Marks every shadow slot free, in the order SubmitChunk takes them.
+  void ResetShadow();
 
   Domain* guest_;
   Hypervisor* hv_;
@@ -141,9 +160,13 @@ class Blkfront {
   std::vector<PoolPage> indirect_pool_;
   std::vector<uint16_t> free_indirect_;
 
-  uint64_t next_req_id_ = 1;
-  std::map<uint64_t, InFlight> in_flight_;
+  std::array<Shadow, kBlkRingSize> shadow_;
+  std::vector<uint32_t> free_shadow_;  // LIFO.
+  uint64_t next_seq_ = 1;              // Never 0, so no issued id is 0.
   std::deque<Chunk> queue_;
+  // Owns every PendingOp ever allocated; free_ops_ holds the idle ones.
+  std::vector<std::unique_ptr<PendingOp>> ops_;
+  std::vector<PendingOp*> free_ops_;
 
   SimDuration per_request_cost_ = Nanos(1500);
   double copy_ns_per_byte_ = 0.05;  // ~20 GB/s guest memcpy.

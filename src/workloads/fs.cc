@@ -1,6 +1,7 @@
 #include "src/workloads/fs.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/base/log.h"
 #include "src/base/strings.h"
@@ -99,34 +100,23 @@ bool SimpleFs::Delete(const std::string& path) {
   return true;
 }
 
-std::vector<std::string> SimpleFs::List() const {
-  std::vector<std::string> names;
-  names.reserve(files_.size());
-  for (const auto& [name, f] : files_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 bool SimpleFs::Stat(const std::string& path) { return files_.count(path) != 0; }
 
-std::vector<SimpleFs::Extent> SimpleFs::Resolve(const File& file, int64_t offset,
-                                                int64_t length) const {
-  std::vector<Extent> out;
+void SimpleFs::Resolve(const File& file, int64_t offset, int64_t length) {
+  resolved_.clear();
   int64_t pos = 0;
   for (const Extent& e : file.extents) {
     const int64_t ext_end = pos + e.length;
     const int64_t want_start = std::max(pos, offset);
     const int64_t want_end = std::min(ext_end, offset + length);
     if (want_start < want_end) {
-      out.push_back({e.offset + (want_start - pos), want_end - want_start});
+      resolved_.push_back({e.offset + (want_start - pos), want_end - want_start});
     }
     pos = ext_end;
     if (pos >= offset + length) {
       break;
     }
   }
-  return out;
 }
 
 void SimpleFs::MetadataWrite(DoneFn done) {
@@ -147,13 +137,31 @@ void SimpleFs::MetadataWrite(DoneFn done) {
               });
 }
 
-void SimpleFs::IssueIo(const std::vector<Extent>& ranges, bool is_read, DoneFn done) {
-  if (ranges.empty()) {
+void SimpleFs::IssueRange(const Extent& range, bool is_read, DoneFn done) {
+  const size_t len = static_cast<size_t>(RoundToSector(range.length));
+  if (is_read) {
+    ++reads_;
+    dev_->Read(range.offset, len, nullptr, std::move(done));
+  } else {
+    ++writes_;
+    dev_->Write(range.offset, Buffer(len, 0), std::move(done));
+  }
+}
+
+void SimpleFs::IssueIo(bool is_read, DoneFn done) {
+  if (resolved_.empty()) {
     if (done) {
       done(true);
     }
     return;
   }
+  if (resolved_.size() == 1) {
+    // One extent (every contiguous file): the device op's completion is the
+    // caller's, so no aggregation state is needed.
+    IssueRange(resolved_.front(), is_read, std::move(done));
+    return;
+  }
+  const std::vector<Extent> ranges = resolved_;
   auto remaining = std::make_shared<int>(static_cast<int>(ranges.size()));
   auto all_ok = std::make_shared<bool>(true);
   auto cb = [remaining, all_ok, done = std::move(done)](bool ok) {
@@ -165,14 +173,7 @@ void SimpleFs::IssueIo(const std::vector<Extent>& ranges, bool is_read, DoneFn d
     }
   };
   for (const Extent& r : ranges) {
-    const int64_t len = RoundToSector(r.length);
-    if (is_read) {
-      ++reads_;
-      dev_->Read(r.offset, static_cast<size_t>(len), nullptr, cb);
-    } else {
-      ++writes_;
-      dev_->Write(r.offset, Buffer(static_cast<size_t>(len), 0), cb);
-    }
+    IssueRange(r, is_read, cb);
   }
 }
 
@@ -186,7 +187,8 @@ void SimpleFs::Read(const std::string& path, int64_t offset, size_t length, Done
   }
   const int64_t len =
       std::min<int64_t>(static_cast<int64_t>(length), it->second.size - offset);
-  IssueIo(Resolve(it->second, offset, len), /*is_read=*/true, std::move(done));
+  Resolve(it->second, offset, len);
+  IssueIo(/*is_read=*/true, std::move(done));
 }
 
 void SimpleFs::Write(const std::string& path, int64_t offset, size_t length, DoneFn done) {
@@ -197,8 +199,8 @@ void SimpleFs::Write(const std::string& path, int64_t offset, size_t length, Don
     }
     return;
   }
-  IssueIo(Resolve(it->second, offset, static_cast<int64_t>(length)), /*is_read=*/false,
-          std::move(done));
+  Resolve(it->second, offset, static_cast<int64_t>(length));
+  IssueIo(/*is_read=*/false, std::move(done));
 }
 
 void SimpleFs::Append(const std::string& path, size_t length, DoneFn done) {
@@ -238,7 +240,8 @@ void SimpleFs::Append(const std::string& path, size_t length, DoneFn done) {
       done(*all_ok);
     }
   };
-  IssueIo(Resolve(file, offset, static_cast<int64_t>(length)), /*is_read=*/false, cb);
+  Resolve(file, offset, static_cast<int64_t>(length));
+  IssueIo(/*is_read=*/false, cb);
   MetadataWrite(cb);
 }
 

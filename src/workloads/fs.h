@@ -9,9 +9,8 @@
 #define SRC_WORKLOADS_FS_H_
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/blkdrv/blkfront.h"
@@ -22,7 +21,8 @@ class SimpleFs {
  public:
   using DoneFn = std::function<void(bool ok)>;
 
-  // block_offset reserves a metadata region at the start of the device.
+  // Reserves a 16 MB metadata (journal) region at the start of the device;
+  // file extents are allocated from the rest.
   explicit SimpleFs(Blkfront* dev);
 
   Blkfront* device() const { return dev_; }
@@ -35,7 +35,6 @@ class SimpleFs {
   bool Exists(const std::string& path) const;
   int64_t FileSize(const std::string& path) const;
   bool Delete(const std::string& path);
-  std::vector<std::string> List() const;
   // stat(): pure metadata, costs a little CPU but no I/O.
   bool Stat(const std::string& path);
 
@@ -72,16 +71,20 @@ class SimpleFs {
   // Allocates extents covering `bytes`; returns false when out of space.
   bool Allocate(int64_t bytes, std::vector<Extent>* out);
   void Free(const std::vector<Extent>& extents);
-  // Maps a file byte range onto device ranges.
-  std::vector<Extent> Resolve(const File& file, int64_t offset, int64_t length) const;
+  // Maps a file byte range onto device ranges, into resolved_.
+  void Resolve(const File& file, int64_t offset, int64_t length);
   void MetadataWrite(DoneFn done);
-  // Issues I/O over possibly multiple extents, aggregating completion.
-  void IssueIo(const std::vector<Extent>& ranges, bool is_read, DoneFn done);
+  // Issues I/O over the ranges in resolved_, aggregating completion.
+  void IssueIo(bool is_read, DoneFn done);
+  void IssueRange(const Extent& range, bool is_read, DoneFn done);
 
   Blkfront* dev_;
   bool journal_enabled_ = true;
-  std::map<std::string, File> files_;
+  std::unordered_map<std::string, File> files_;
   std::vector<Extent> free_list_;
+  // Resolve's output, reused across calls. A completion may re-enter
+  // SimpleFs and refill it, so IssueIo never iterates it across a device call.
+  std::vector<Extent> resolved_;
   int64_t metadata_cursor_ = 0;  // Rotating journal slot in the metadata area.
 
   uint64_t reads_ = 0;

@@ -1,7 +1,8 @@
 // Edge cases of the incremental protocol parsers (HTTP/RESP/memcached):
 // requests split across TCP segments, multiple requests in one segment,
 // and malformed input — plus OS-profile invariants, plus misbehaving PV
-// frontends pushing malformed ring entries at netback/blkback.
+// frontends pushing malformed ring entries at netback/blkback, and a
+// misbehaving block backend answering blkfront with bad response ids.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -663,6 +664,207 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BlkAblation>& info) {
       return std::string(kBlkAblationNames[info.param.name_index]);
     });
+
+// --- Misbehaving block backend. ---
+//
+// The reverse direction: a real Blkfront against a backend the test drives by
+// hand (a bare domain, no blkback). Response ids are backend-controlled, so
+// blkfront must ignore any id it has no live request for: one never issued,
+// one already answered, or one whose shadow slot a newer request now holds.
+// Each op's callback fires exactly once, and no pool page returns twice.
+
+class MisbehavingBlkBackend : public ::testing::Test {
+ protected:
+  static constexpr int kDevid = 51712;  // xvda.
+  static constexpr size_t kPoolPages = kBlkRingSize * kBlkMaxIndirectSegments;
+
+  void SetUp() override {
+    sys_ = std::make_unique<KiteSystem>();
+    Hypervisor& hv = sys_->hv();
+    backend_ = hv.CreateDomain("evil-stordom", 1, 64);
+    guest_ = sys_->CreateGuest("victim-blk-guest");
+    const DomId gid = guest_->domain()->id();
+    const DomId bid = backend_->id();
+    XenStore& store = hv.store();
+    const std::string fe = FrontendPath(gid, "vbd", kDevid);
+    be_ = BackendPath(bid, "vbd", gid, kDevid);
+
+    // Toolstack half of AttachVbd, then a real Blkfront.
+    store.Write(kDom0, fe + "/backend", be_);
+    store.WriteInt(kDom0, fe + "/backend-id", bid);
+    store.Write(kDom0, be_ + "/frontend", fe);
+    store.WriteInt(kDom0, be_ + "/frontend-id", gid);
+    store.SetPermission(kDom0, fe, bid);
+    store.SetPermission(kDom0, be_, gid);
+    front_ = std::make_unique<Blkfront>(guest_->domain(), bid, kDevid);
+
+    // Backend half, by hand: advertise, then map the published ring.
+    backend_->StoreWriteInt(be_ + "/sectors", (1LL << 30) / static_cast<int64_t>(kSectorSize));
+    backend_->StoreWriteInt(be_ + "/feature-persistent", 1);
+    XenbusClient bus(&store, bid);
+    bus.SwitchState(be_, XenbusState::kInitWait);
+    ASSERT_TRUE(sys_->WaitUntil(
+        [&] { return XenbusClient(&store, bid).ReadState(fe) == XenbusState::kInitialised; }));
+    auto ring_ref = backend_->StoreReadInt(fe + "/ring-ref");
+    auto evt = backend_->StoreReadInt(fe + "/event-channel");
+    ASSERT_TRUE(ring_ref.has_value() && evt.has_value());
+    ring_map_ = hv.GrantMap(backend_, gid, static_cast<GrantRef>(*ring_ref), true);
+    ASSERT_TRUE(ring_map_.valid());
+    shared_ = ring_map_.page()->As<BlkSharedRing>();
+    ring_ = std::make_unique<BlkBackRing>(shared_);
+    port_ = hv.EventBindInterdomain(backend_, gid, static_cast<EvtPort>(*evt));
+    ASSERT_NE(port_, kInvalidPort);
+    hv.EventSetHandler(backend_, port_, [] {});
+    bus.SwitchState(be_, XenbusState::kConnected);
+    ASSERT_TRUE(sys_->WaitUntil([&] { return front_->connected(); }));
+    ASSERT_EQ(front_->free_pool_pages(), kPoolPages);
+  }
+
+  void TearDown() override {
+    ring_.reset();
+    ring_map_.Unmap();
+    front_.reset();
+  }
+
+  // Lets submitted ops reach the ring, then takes every published request.
+  std::vector<BlkRequest> TakeRequests() {
+    sys_->RunFor(Millis(1));
+    std::vector<BlkRequest> reqs;
+    while (ring_->HasUnconsumedRequests()) {
+      reqs.push_back(ring_->ConsumeRequest());
+    }
+    return reqs;
+  }
+
+  // Writes the response straight into the shared page, as a compromised
+  // backend can: BlkBackRing refuses to answer more requests than it took.
+  void Respond(uint64_t id, BlkStatus status) {
+    BlkResponse rsp;
+    rsp.id = id;
+    rsp.status = status;
+    shared_->rsp_slots[shared_->Mask(shared_->rsp_prod)] = rsp;
+    ++shared_->rsp_prod;
+    sys_->hv().EventSend(backend_, port_);
+    sys_->RunFor(Millis(1));
+  }
+
+  // A 4 KB read whose callback records every invocation's status.
+  void Read(std::vector<bool>* calls) {
+    front_->Read(0, 4096, nullptr, [calls](bool ok) { calls->push_back(ok); });
+  }
+
+  std::unique_ptr<KiteSystem> sys_;
+  Domain* backend_ = nullptr;
+  GuestVm* guest_ = nullptr;
+  std::string be_;
+  std::unique_ptr<Blkfront> front_;
+  MappedGrant ring_map_;
+  BlkSharedRing* shared_ = nullptr;
+  std::unique_ptr<BlkBackRing> ring_;  // Used only to take requests.
+  EvtPort port_ = kInvalidPort;
+};
+
+TEST_F(MisbehavingBlkBackend, NeverIssuedAndRepeatedIdsIgnored) {
+  std::vector<bool> calls;
+  Read(&calls);
+  auto reqs = TakeRequests();
+  ASSERT_EQ(reqs.size(), 1u);
+  const uint64_t id = reqs[0].id;
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages - 1);
+
+  // Ids that were never issued: zero, a far-future sequence in the same slot,
+  // and an unrelated value.
+  Respond(0, BlkStatus::kOkay);
+  Respond(id + (uint64_t{1000} << 5), BlkStatus::kOkay);
+  Respond(~uint64_t{0}, BlkStatus::kOkay);
+  EXPECT_TRUE(calls.empty());
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages - 1);
+
+  Respond(id, BlkStatus::kOkay);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_TRUE(calls[0]);
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages);
+
+  // The same id again: already answered.
+  Respond(id, BlkStatus::kError);
+  EXPECT_EQ(calls.size(), 1u);
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages);
+  EXPECT_EQ(front_->ops_completed(), 1u);
+}
+
+TEST_F(MisbehavingBlkBackend, StaleIdDoesNotCompleteSlotsNewerRequest) {
+  std::vector<bool> first;
+  Read(&first);
+  auto reqs = TakeRequests();
+  ASSERT_EQ(reqs.size(), 1u);
+  const uint64_t stale = reqs[0].id;
+  Respond(stale, BlkStatus::kOkay);
+  ASSERT_EQ(first.size(), 1u);
+
+  std::vector<bool> second;
+  Read(&second);
+  reqs = TakeRequests();
+  ASSERT_EQ(reqs.size(), 1u);
+  const uint64_t fresh = reqs[0].id;
+  // The freed slot is reused, so only the sequence tells the ids apart.
+  ASSERT_NE(fresh, stale);
+  ASSERT_EQ(fresh % kBlkRingSize, stale % kBlkRingSize);
+
+  Respond(stale, BlkStatus::kOkay);
+  EXPECT_TRUE(second.empty());
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages - 1);
+
+  Respond(fresh, BlkStatus::kError);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_FALSE(second[0]);
+  EXPECT_EQ(first.size(), 1u);
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages);
+}
+
+TEST_F(MisbehavingBlkBackend, BogusIdFreesNoSlotAndBurstStillCompletesOnce) {
+  // A bogus response takes the ring slot of B's real one, so B's shadow slot
+  // stays held: the ring then has room for 32 requests but blkfront for only
+  // 31, and a burst deeper than the ring must still complete every op once.
+  std::vector<bool> a_calls;
+  std::vector<bool> b_calls;
+  Read(&a_calls);
+  Read(&b_calls);
+  auto reqs = TakeRequests();
+  ASSERT_EQ(reqs.size(), 2u);
+  const uint64_t b_id = reqs[1].id;
+  Respond(reqs[0].id + (uint64_t{1000} << 5), BlkStatus::kOkay);
+  Respond(reqs[0].id, BlkStatus::kOkay);
+  ASSERT_EQ(a_calls.size(), 1u);
+  EXPECT_TRUE(b_calls.empty());
+
+  constexpr int kBurst = 2 * kBlkRingSize + 5;
+  std::vector<std::vector<bool>> burst(kBurst);
+  for (auto& calls : burst) {
+    Read(&calls);
+  }
+  int answered = 0;
+  for (int round = 0; round < 10 && answered < kBurst; ++round) {
+    reqs = TakeRequests();
+    ASSERT_LE(reqs.size(), kBlkRingSize - 1);
+    for (const BlkRequest& req : reqs) {
+      Respond(req.id, BlkStatus::kOkay);
+      ++answered;
+    }
+  }
+  EXPECT_EQ(answered, kBurst);
+  for (const auto& calls : burst) {
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_TRUE(calls[0]);
+  }
+  EXPECT_EQ(front_->queued_chunks(), 0u);
+  EXPECT_TRUE(b_calls.empty());
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages - 1);
+
+  Respond(b_id, BlkStatus::kError);
+  ASSERT_EQ(b_calls.size(), 1u);
+  EXPECT_FALSE(b_calls[0]);
+  EXPECT_EQ(front_->free_pool_pages(), kPoolPages);
+}
 
 // --- OS profile invariants. ---
 
